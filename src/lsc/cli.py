@@ -2,8 +2,9 @@
 
 Config lives in a plain ``key=value`` file (``--config PATH``); any flag
 given on the command line overrides the file.  Numeric CSV fields are
-written with 17 significant digits, and grids are assembled in grid order,
-so identical configs produce byte-identical output at any thread count.
+written with 17 significant digits, and grids are solved in grid order,
+so identical configs produce byte-identical output.  Unknown config keys
+are rejected as invalid configuration.
 
 Exit codes: 0 success, 2 invalid configuration, 3 assumption validation
 failed, 4 solver non-convergence, 5 an experiment assertion failed (for
@@ -17,7 +18,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -83,6 +83,8 @@ def _parse_config_file(path: str) -> dict:
             # config keys mirror the flags; map the two path flags whose
             # argparse destinations differ from their names
             key = {"json": "json_path", "dump_matrix": "dump_matrix_path"}.get(key, key)
+            if key not in _KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             out[key] = value.strip()
     return out
 
@@ -122,9 +124,6 @@ class RunConfig:
     out: str | None = None
     json_path: str | None = None
     dump_matrix_path: str | None = None
-    threads: int = 1
-    tol_eig: float | None = None
-    tol_box: float | None = None
     scan_radius: float | None = None
     grid_step: float | None = None
 
@@ -138,8 +137,6 @@ class RunConfig:
             raise ValueError("gamma grid must be finite")
         if self.delta_spike is not None and not 0.0 < self.delta_spike < 0.5:
             raise ValueError("delta_spike must lie in (0, 0.5)")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", dest="json_path", help="JSON summary path")
         p.add_argument("--dump-matrix", dest="dump_matrix_path",
                        help="triplet dump path")
-        p.add_argument("--threads", type=int, help="grid parallelism (env LSC_THREADS)")
-        p.add_argument("--tol-eig", dest="tol_eig", type=float,
-                       help="bisection relative tolerance override")
-        p.add_argument("--tol-box", dest="tol_box", type=float,
-                       help="box doubling relative tolerance override")
         p.add_argument("--scan-radius", dest="scan_radius", type=float)
         p.add_argument("--grid-step", dest="grid_step", type=float)
 
@@ -185,9 +177,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INT_KEYS = ("nmax", "count", "M", "k", "threads")
-_FLOAT_KEYS = ("delta_spike", "delta_cut", "epsilon", "tol_eig", "tol_box",
-               "scan_radius", "grid_step")
+# every config key (flag destination) and its converter; other keys are rejected
+_KEYS = {
+    "potential": str,
+    "omega": _floats,
+    "wells": _floats,
+    "gamma": _floats,
+    "N": _ints,
+    "kappa": _floats,
+    "nmax": int,
+    "delta_spike": float,
+    "delta_cut": float,
+    "epsilon": float,
+    "count": int,
+    "M": int,
+    "k": int,
+    "out": str,
+    "json_path": str,
+    "dump_matrix_path": str,
+    "scan_radius": float,
+    "grid_step": float,
+}
+# config keys whose RunConfig field has another (plural) name
+_FIELDS = {"gamma": "gammas", "N": "Ns", "kappa": "kappas"}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -199,32 +211,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             continue
         if value is not None:
             merged[key] = value
-    threads = merged.pop("threads", None)
-    if threads is None:
-        threads = os.environ.get("LSC_THREADS", "1")
     return RunConfig(
         command=args.command,
-        potential=merged.get("potential"),
-        omega=None if merged.get("omega") is None else _floats(merged["omega"]),
-        wells=None if merged.get("wells") is None else _floats(merged["wells"]),
-        gammas=None if merged.get("gamma") is None else _floats(merged["gamma"]),
-        Ns=None if merged.get("N") is None else _ints(merged["N"]),
-        kappas=None if merged.get("kappa") is None else _floats(merged["kappa"]),
-        nmax=None if merged.get("nmax") is None else int(merged["nmax"]),
-        delta_spike=None if merged.get("delta_spike") is None else float(merged["delta_spike"]),
-        delta_cut=None if merged.get("delta_cut") is None else float(merged["delta_cut"]),
-        epsilon=None if merged.get("epsilon") is None else float(merged["epsilon"]),
-        count=None if merged.get("count") is None else int(merged["count"]),
-        M=None if merged.get("M") is None else int(merged["M"]),
-        k=None if merged.get("k") is None else int(merged["k"]),
-        out=merged.get("out"),
-        json_path=merged.get("json_path"),
-        dump_matrix_path=merged.get("dump_matrix_path"),
-        threads=int(threads),
-        tol_eig=None if merged.get("tol_eig") is None else float(merged["tol_eig"]),
-        tol_box=None if merged.get("tol_box") is None else float(merged["tol_box"]),
-        scan_radius=None if merged.get("scan_radius") is None else float(merged["scan_radius"]),
-        grid_step=None if merged.get("grid_step") is None else float(merged["grid_step"]),
+        **{_FIELDS.get(key, key): _KEYS[key](value) for key, value in merged.items()},
     )
 
 
@@ -340,8 +329,7 @@ def cmd_kappa(cfg: RunConfig) -> int:
     kappas = _default(cfg.kappas, [0.2, 0.1, 0.05, 0.025])
     n_max = _default(cfg.nmax, 5)
     omega = (cfg.omega or [1.0])[0]
-    study = semiclassics.harmonic_kappa_study(omega, kappas, n_max,
-                                              threads=cfg.threads)
+    study = semiclassics.harmonic_kappa_study(omega, kappas, n_max)
     rows = [(r.kappa, r.n, r.energy, r.ratio, r.target, r.abs_err)
             for r in study.rows]
     path = _csv_path(cfg, "kappa.csv")
@@ -368,7 +356,7 @@ def cmd_converge(cfg: RunConfig) -> int:
     gamma = (cfg.gammas or [0.0])[0]
     Ns = _default(cfg.Ns, [128, 256, 512, 1024])
     n_max = _default(cfg.nmax, 1)
-    table = semiclassics.converge_study(V, gamma, Ns, n_max, threads=cfg.threads)
+    table = semiclassics.converge_study(V, gamma, Ns, n_max)
     rows = [(r.gamma, r.N, r.n, r.energy, r.lam, r.ratio, r.target, r.abs_err)
             for r in table.rows]
     path = _csv_path(cfg, "converge.csv")
@@ -385,7 +373,7 @@ def cmd_regimes(cfg: RunConfig) -> int:
     Ns = _default(cfg.Ns, [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
     n_max = _default(cfg.nmax, 2)
     omega = (cfg.omega or [1.0])[0]
-    sweep = semiclassics.regime_sweep(omega, gammas, Ns, n_max, threads=cfg.threads)
+    sweep = semiclassics.regime_sweep(omega, gammas, Ns, n_max)
     rows = [(r.gamma, r.n, r.slope_fit, r.slope_pred, r.limit_const_fit,
              r.limit_const_pred) for r in sweep.rows]
     path = _csv_path(cfg, "regimes.csv")
@@ -513,7 +501,6 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    eigensolve.set_tolerance_overrides(bisection=cfg.tol_eig, box=cfg.tol_box)
     try:
         return _COMMANDS[args.command](cfg)
     except (KeyError, ValueError) as exc:

@@ -19,9 +19,8 @@ plain result record; CSV/JSON serialization lives in the CLI.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,18 +53,6 @@ __all__ = [
     "ims_general_experiment",
     "scaled_well_params",
 ]
-
-
-def _grid_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Evaluate a pure function over a grid, optionally threaded.
-
-    Results are assembled in grid order regardless of completion order, so
-    output is identical for every thread count.
-    """
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +161,7 @@ class KappaStudy:
 
 
 def harmonic_kappa_study(
-    omega: float, kappa_list: Sequence[float], n_max: int, threads: int = 1
+    omega: float, kappa_list: Sequence[float], n_max: int
 ) -> KappaStudy:
     """Table of ``E_n(kappa) / kappa^2`` against ``2n + 1`` over a kappa sweep.
 
@@ -187,7 +174,7 @@ def harmonic_kappa_study(
         k1 <= k2 for k1, k2 in zip(kappas, kappas[1:])
     ):
         raise ValueError("kappa_list must be positive and strictly descending")
-    spectra = _grid_map(lambda k: harmonic_levels(k, n_max + 1), kappas, threads)
+    spectra = [harmonic_levels(k, n_max + 1) for k in kappas]
     rows = []
     for k, spec in zip(kappas, spectra):
         for n in range(n_max + 1):
@@ -293,7 +280,6 @@ def converge_study(
     gamma: float,
     N_list: Sequence[int],
     n_max: int,
-    threads: int = 1,
 ) -> ConvergenceTable:
     """Ratios ``E_n(H_N) / lam_N`` against the limit spectrum over an N ladder."""
     if not -1.0 < gamma < 1.0:
@@ -308,7 +294,7 @@ def converge_study(
         params = ScalingParams(N=N, gamma=gamma, omega=float(omega0))
         return levels_HN(V, params, n_max + 1)
 
-    spectra = _grid_map(solve, Ns, threads)
+    spectra = [solve(N) for N in Ns]
     rows = []
     for N, values in zip(Ns, spectra):
         lam = float(N) ** (1.0 - gamma)
@@ -421,7 +407,6 @@ def regime_sweep(
     gamma_grid: Sequence[float],
     N_list: Sequence[int],
     n_max: int,
-    threads: int = 1,
 ) -> RegimeSweep:
     """Fit the growth exponent of every level across scaling regimes.
 
@@ -443,19 +428,17 @@ def regime_sweep(
         if gamma > -1.0:
             Ns = Ns_all
 
-            def solve(N: int, g=gamma) -> np.ndarray:
-                kap = math.sqrt(omega * float(N) ** (-(1.0 + g)))
+            def solve(N: int) -> np.ndarray:
+                kap = math.sqrt(omega * float(N) ** (-(1.0 + gamma)))
                 vals = harmonic_levels(kap, count).values
                 return 0.5 * float(N) ** 2 * vals
 
-            table = np.array(_grid_map(solve, Ns, threads))
+            table = np.array([solve(N) for N in Ns])
             pred_consts = e_limit
             fitted_consts = table[-1] / float(Ns[-1]) ** (1.0 - gamma)
         elif gamma == -1.0:
             Ns = Ns_all
-            table = np.array(
-                _grid_map(lambda N: _direct_minus_one(omega, N, count), Ns, threads)
-            )
+            table = np.array([_direct_minus_one(omega, N, count) for N in Ns])
             scaled = table / (np.asarray(Ns, dtype=float) ** 2)[:, None]
             minus_one_dev = float(
                 np.max(np.abs(scaled - scaled[0]) / np.abs(scaled[0]))
@@ -470,11 +453,7 @@ def regime_sweep(
                     f"for gamma={gamma}"
                 )
             pres = np.array(
-                _grid_map(
-                    lambda N, g=gamma: _prescaled_below_minus_one(omega, g, N, count),
-                    Ns,
-                    threads,
-                )
+                [_prescaled_below_minus_one(omega, gamma, N, count) for N in Ns]
             )
             table = pres * (np.asarray(Ns, dtype=float) ** (2.0 * abs(gamma)))[:, None]
             pred_consts = np.array(
@@ -640,7 +619,7 @@ class ModifiedComparison:
 
 
 def modified_vs_plain(
-    n_max: int, kappa_list: Sequence[float], delta: float, threads: int = 1
+    n_max: int, kappa_list: Sequence[float], delta: float
 ) -> ModifiedComparison:
     """Levels of the plain and spiked operators on a shared box, per kappa.
 
@@ -661,7 +640,7 @@ def modified_vs_plain(
         ).values
         return plain, spiked
 
-    results = _grid_map(solve, [float(k) for k in kappa_list], threads)
+    results = [solve(float(k)) for k in kappa_list]
     rows = []
     ordering_ok = True
     for kappa, (plain, spiked) in zip(kappa_list, results):

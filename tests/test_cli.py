@@ -1,4 +1,4 @@
-"""Tests for the command-line front end: CSV contracts, exit codes, determinism."""
+"""Tests for the command-line front end: CSV contracts, exit codes, config files."""
 
 import json
 import math
@@ -126,23 +126,6 @@ class TestKappaCommand:
         assert summary["pass"] is True
 
 
-class TestDeterminism:
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        for threads, name in (("1", "a.csv"), ("4", "b.csv")):
-            code = run(
-                ["kappa", "--kappa", "0.2,0.1", "--nmax", "2",
-                 "--threads", threads],
-                tmp_path, out=name,
-            )
-            assert code == 0
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LSC_THREADS", "2")
-        code = run(["kappa", "--kappa", "0.2", "--nmax", "0"], tmp_path, out="e.csv")
-        assert code == 0
-
-
 class TestConfigFile:
     def test_file_plus_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -164,6 +147,15 @@ class TestConfigFile:
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("this line has no equals sign\n")
         assert run(["sigma", "--config", str(cfg)], tmp_path) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["nmx = 3", "threads = 2", "tol_eig = 1e-3",
+                                      "tol-box = 1e-6"])
+    def test_unknown_key_rejected(self, tmp_path, line):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"kappa = 0.2\n{line}\n")
+        code = run(["kappa", "--config", str(cfg)], tmp_path, out="k.csv")
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "k.csv").exists()
 
 
 class TestExitCodes:
@@ -237,16 +229,6 @@ class TestRunConfigInvariants:
         code = run(["intervals", "--nmax", "1", "--kappa", "0.05",
                     "--delta-spike", "0.7"], tmp_path)
         assert code == cli.EXIT_CONFIG
-
-    def test_tolerance_override_accepted(self, tmp_path):
-        code = run(
-            ["spectrum", "--kappa", "0.2", "--k", "2", "--tol-eig", "1e-10"],
-            tmp_path, out="s.csv",
-        )
-        assert code == 0
-        from lsc import eigensolve
-
-        eigensolve.set_tolerance_overrides()  # restore defaults for other tests
 
     def test_two_well_via_wells_key(self, tmp_path):
         code = run(

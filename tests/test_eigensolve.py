@@ -1,4 +1,4 @@
-"""Tests for the Sturm bisection solver and the spectral diagnostics."""
+"""Tests for the LAPACK tridiagonal solver and the spectral diagnostics."""
 
 import math
 
@@ -22,6 +22,7 @@ from lsc.eigensolve import (
 )
 from lsc.errors import (
     AllZero,
+    BoxTooSmall,
     Exhausted,
     IllConditionedSpan,
     NonPositiveFunction,
@@ -80,6 +81,54 @@ class TestSturm:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             eigs_tridiag((np.ones(3), -np.ones(2)), 4)
+
+
+def longdouble_hkappa_lowest(kappa, M, approx, sweeps=8, points=63):
+    """Lowest levels of ``Delta + kappa^4 x^2`` on ``[-M, M]`` in ``np.longdouble``.
+
+    The operator is assembled in extended precision and each level is
+    narrowed by Sturm counts (negative LDL^T pivots below a shift) at
+    ``points`` shifts per sweep, all shifts advancing together through the
+    rows.  The starting brackets are ``approx`` widened by 1e-8 relative;
+    their counts are asserted, so a wrong ``approx`` fails instead of
+    steering the oracle.
+    """
+    x = np.arange(-M, M + 1, dtype=np.longdouble)
+    diag = 2 + np.longdouble(kappa) ** 4 * x * x
+
+    def count_below(shifts):
+        with np.errstate(divide="ignore"):
+            d = diag[0] - shifts
+            counts = (d < 0).astype(np.int64)
+            for a in diag[1:]:
+                d = (a - shifts) - 1 / d  # off-diagonal -1, so off^2 = 1
+                counts += d < 0
+        return counts
+
+    idx = np.arange(len(approx))[:, None]
+    approx = np.asarray(approx, dtype=np.longdouble)[:, None]
+    lo, hi = approx * (1 - 1e-8), approx * (1 + 1e-8)
+    assert np.all(count_below(lo) <= idx) and np.all(count_below(hi) > idx)
+    steps = np.arange(1, points + 1, dtype=np.longdouble) / (points + 1)
+    for _ in range(sweeps):
+        shifts = lo + (hi - lo) * steps
+        above = count_below(shifts) > idx
+        lo = np.where(above, lo, shifts).max(axis=1, keepdims=True)
+        hi = np.where(above, shifts, hi).min(axis=1, keepdims=True)
+    return (0.5 * (lo + hi))[:, 0]
+
+
+class TestExtendedPrecisionOracle:
+    # levels far below |H|: LAPACK's default tolerance (eps |H|) misses the
+    # kappa = 0.05 bound by almost an order of magnitude
+    @pytest.mark.parametrize(
+        "kappa, M, bound", [(0.05, 4000, 1e-13), (4096.0 ** -0.75, 9216, 5e-11)]
+    )
+    def test_hkappa_lowest_levels(self, kappa, M, bound):
+        got = eigs_tridiag(assemble_Hkappa(kappa, LatticeBox.centered(1, M)), 3).values
+        want = longdouble_hkappa_lowest(kappa, M, got)
+        rel = np.abs((got.astype(np.longdouble) - want) / want)
+        assert float(rel.max()) <= bound
 
 
 class TestEigenvectors:
@@ -325,7 +374,6 @@ class TestConvergedSpectrum:
         for M1, M2 in ((20, 40), (40, 80), (80, 160)):
             assert np.all(levels[M2] <= levels[M1] + 1e-13)
         res = converged_spectrum(assemble, 50, 3)
-        assert res.truncation_converged
         np.testing.assert_allclose(res.values, levels[160], rtol=1e-10)
 
     def test_gives_up_flag(self):
@@ -334,5 +382,5 @@ class TestConvergedSpectrum:
             box = LatticeBox.centered(1, M)
             return assemble_laplacian(box)
 
-        res = converged_spectrum(assemble, 4, 1, rel=1e-14, max_doublings=3)
-        assert res.truncation_converged is False
+        with pytest.raises(BoxTooSmall):
+            converged_spectrum(assemble, 4, 1, rel=1e-14, max_doublings=3)
