@@ -61,12 +61,12 @@ def write_json(path: str, payload: dict) -> None:
 def dump_matrix(path: str, op) -> None:
     """Coordinate-triplet text dump (row, col, value) of an assembled operator."""
     i, j = op.box.neighbor_index_pairs()
+    c = _fmt(-float(op.coupling))
     with open(path, "w") as fh:
-        for r, v in enumerate(op.diagonal):
-            fh.write(f"{r} {r} {_fmt(float(v))}\n")
-        for a, b in zip(i, j):
-            fh.write(f"{a} {b} {_fmt(-op.coupling)}\n")
-            fh.write(f"{b} {a} {_fmt(-op.coupling)}\n")
+        fh.write("".join(map("{0} {0} {1:.17g}\n".format, range(op.size),
+                             op.diagonal.tolist())))
+        fh.write("".join(map(f"{{0}} {{1}} {c}\n{{1}} {{0}} {c}\n".format,
+                             i.tolist(), j.tolist())))
 
 
 def _parse_config_file(path: str) -> dict:
@@ -279,7 +279,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         )
         if cfg.M is not None:
             op = lattice.assemble_HN(V, params, LatticeBox.centered(V.dimension, cfg.M))
-            values = eigensolve.eigs_tridiag(op, k).values
+            solve = eigensolve.eigs_tridiag if V.dimension == 1 else eigensolve.eigs_sparse
+            values = solve(op, k).values
         else:
             values = semiclassics.levels_HN(V, params, k)
     if cfg.dump_matrix_path and op is not None:
@@ -508,6 +509,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ConvergenceFailure, BoxTooSmall, DegenerateDecomposition) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"solver failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except LscError as exc:
         print(f"experiment failure: {exc}", file=sys.stderr)

@@ -254,8 +254,14 @@ def _levels_HN_1d(V: Potential, params: ScalingParams, count: int) -> SpectrumRe
 
 
 def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
-    """Low-lying levels of the scaled operator; separable sums use the
-    tensorized route, nontrivial d >= 2 falls back to a small dense solve."""
+    """Low-lying levels of the scaled operator.
+
+    One dimension solves under box doubling and separable sums use the
+    tensorized route.  Non-separable ``d >= 2`` potentials are solved once
+    on the starting box by :func:`eigensolve.eigs_sparse` (shift-invert
+    Lanczos with an inertia-count index certificate), still without box
+    doubling and capped at 4096 points.
+    """
     if V.dimension == 1:
         return _levels_HN_1d(V, params, count).values
     if V.separable and V.axis_potentials is not None:
@@ -272,7 +278,7 @@ def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
             f"requested {box.size}"
         )
     op = lattice.assemble_HN(V, params, box)
-    return eigensolve.dense_eigvalsh(op)[:count]
+    return eigensolve.eigs_sparse(op, count).values
 
 
 def converge_study(

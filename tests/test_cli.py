@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from lsc import cli
-from lsc.potentials import Potential, register_potential
+from lsc.lattice import LatticeBox, SymmetricLatticeOperator, assemble_HN
+from lsc.potentials import (
+    Potential,
+    ScalingParams,
+    double_well,
+    register_potential,
+)
 
 
 def run(args, tmp_path, **paths):
@@ -75,6 +81,38 @@ class TestSpectrumCommand:
         assert triplets[("0", "1")] == -1.0
         assert triplets[("1", "0")] == -1.0
         assert len(lines) == 3 + 4
+
+    def test_box_override_in_2d_matches_the_tensorized_route(self, tmp_path):
+        code = run(
+            ["spectrum", "--potential", "double_well_2d", "--N", "8", "--M", "10",
+             "--k", "3"],
+            tmp_path, out="spec.csv",
+        )
+        assert code == 0
+        _, rows = read_rows(tmp_path / "spec.csv")
+        # the 2-d operator is exactly the Kronecker sum of two 1-d ones
+        op = assemble_HN(double_well(), ScalingParams(N=8, gamma=0.0, omega=1.0),
+                         LatticeBox.centered(1, 10))
+        axis = np.linalg.eigvalsh(op.dense())
+        want = np.sort(np.add.outer(axis, axis).ravel())[:3]
+        np.testing.assert_allclose([float(r[1]) for r in rows], want, rtol=1e-11)
+
+    def test_matrix_dump_golden_2d(self, tmp_path):
+        box = LatticeBox(lo=(0, 0), hi=(1, 1))
+        op = SymmetricLatticeOperator(
+            box=box, diagonal=[0.1, 2.5, 1.0 / 3.0, 1e-20], coupling=0.5
+        )
+        cli.dump_matrix(str(tmp_path / "mat.txt"), op)
+        assert (tmp_path / "mat.txt").read_text() == (
+            "0 0 0.10000000000000001\n"
+            "1 1 2.5\n"
+            "2 2 0.33333333333333331\n"
+            "3 3 9.9999999999999995e-21\n"
+            "0 2 -0.5\n2 0 -0.5\n"
+            "1 3 -0.5\n3 1 -0.5\n"
+            "0 1 -0.5\n1 0 -0.5\n"
+            "2 3 -0.5\n3 2 -0.5\n"
+        )
 
 
 class TestRegimesCommand:
@@ -187,6 +225,16 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "v.json").read_text())
         assert summary["pass"] is True
         assert summary["measured_constants"]["zero_count"] == 2
+
+    def test_out_of_memory_is_solver_error(self, tmp_path, monkeypatch, capsys):
+        def too_big(cfg):
+            raise MemoryError("dense assembly refused for size 9000")
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", too_big)
+        code = run(["spectrum"], tmp_path)
+        assert code == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err == "solver failure: out of memory: dense assembly refused for size 9000\n"
 
     def test_degenerate_decomposition_is_solver_error(self, tmp_path):
         code = run(["intervals", "--nmax", "2", "--kappa", "0.9"], tmp_path)

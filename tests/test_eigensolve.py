@@ -9,9 +9,11 @@ from lsc import hermite
 from lsc.eigensolve import (
     classify_symmetry,
     converged_spectrum,
+    count_below,
     dense_eigvalsh,
     eigenpairs,
     eigs_separable,
+    eigs_sparse,
     eigs_tridiag,
     eigvec_inverse_iteration,
     k_smallest_sums,
@@ -23,12 +25,20 @@ from lsc.eigensolve import (
 from lsc.errors import (
     AllZero,
     BoxTooSmall,
+    ConvergenceFailure,
     Exhausted,
     IllConditionedSpan,
     NonPositiveFunction,
     ZeroVector,
 )
-from lsc.lattice import LatticeBox, assemble_Hkappa, assemble_laplacian
+from lsc.lattice import (
+    LatticeBox,
+    SymmetricLatticeOperator,
+    assemble_Hkappa,
+    assemble_HN,
+    assemble_laplacian,
+)
+from lsc.potentials import ScalingParams, two_well
 
 
 def random_confining_tridiag(rng, n):
@@ -116,6 +126,74 @@ def longdouble_hkappa_lowest(kappa, M, approx, sweeps=8, points=63):
         lo = np.where(above, lo, shifts).max(axis=1, keepdims=True)
         hi = np.where(above, shifts, hi).min(axis=1, keepdims=True)
     return (0.5 * (lo + hi))[:, 0]
+
+
+def two_well_2d(N, M=16):
+    params = ScalingParams(N=N, gamma=0.0, omega=1.0)
+    return assemble_HN(two_well(d=2), params, LatticeBox.centered(2, M))
+
+
+def random_box_3d(seed):
+    rng = np.random.default_rng(seed)
+    box = LatticeBox(lo=(0, 0, 0), hi=(10, 10, 10))  # 1331 points
+    diag = rng.uniform(0.0, 12.0, box.size)
+    return SymmetricLatticeOperator(box=box, diagonal=diag, coupling=1.5)
+
+
+class TestSparse:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        ops = [two_well_2d(2), two_well_2d(4), random_box_3d(0)]
+        return [(op, np.linalg.eigvalsh(op.dense())) for op in ops]
+
+    def test_inertia_count_matches_dense(self, cases):
+        for op, dense in cases:
+            shifts = [
+                dense[0] - 1.0,
+                0.5 * (dense[0] + dense[1]),  # two_well: the tunnelling ground pair
+                0.5 * (dense[3] + dense[4]),
+                0.5 * (dense[40] + dense[41]),
+                dense[-1] + 1.0,
+            ]
+            for theta in shifts:
+                assert count_below(op, theta) == np.count_nonzero(dense < theta)
+
+    def test_against_dense_oracle(self, cases):
+        for op, dense in cases:
+            for k in (1, 4, 7):
+                got = eigs_sparse(op, k).values
+                np.testing.assert_allclose(got, dense[:k], rtol=1e-11)
+
+    def test_deterministic(self):
+        op = two_well_2d(2, M=8)
+        assert eigs_sparse(op, 4).values.tobytes() == eigs_sparse(op, 4).values.tobytes()
+
+    def test_missed_candidate_fails_the_index_certificate(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        real = scipy.sparse.linalg.eigsh
+
+        def drops_one(A, k, **kwargs):
+            values = np.sort(real(A, k=k + 1, **kwargs))
+            return np.delete(values, 1)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drops_one)
+        with pytest.raises(ConvergenceFailure, match="index certificate"):
+            eigs_sparse(two_well_2d(2, M=8), 4)
+
+    def test_singular_or_non_finite_pivot_fails(self):
+        op = SymmetricLatticeOperator(
+            box=LatticeBox(lo=(0, 0), hi=(1, 0)), diagonal=np.ones(2), coupling=1.0
+        )
+        with pytest.raises(ConvergenceFailure, match="singular block pivot 0"):
+            count_below(op, 1.0)
+        with pytest.raises(ConvergenceFailure, match="non-finite block pivot 0"):
+            count_below(op, np.nan)
+
+    def test_k_range(self):
+        op = two_well_2d(2, M=1)
+        with pytest.raises(ValueError):
+            eigs_sparse(op, op.size - 1)
 
 
 class TestExtendedPrecisionOracle:

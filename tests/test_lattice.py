@@ -99,6 +99,15 @@ class TestLaplacian:
         A = op.dense()
         assert np.array_equal(A, A.T)
 
+    def test_sparse_equals_dense(self):
+        rng = np.random.default_rng(3)
+        for box in (LatticeBox.centered(1, 4), LatticeBox(lo=(0, -1), hi=(3, 2)),
+                    LatticeBox(lo=(0, 0, 0), hi=(2, 3, 1))):
+            op = lattice.SymmetricLatticeOperator(
+                box=box, diagonal=rng.uniform(0.0, 5.0, box.size), coupling=0.75
+            )
+            np.testing.assert_array_equal(op.sparse().toarray(), op.dense())
+
 
 class TestHkappa:
     def test_diagonal_values(self):
@@ -345,6 +354,39 @@ class TestImsRemainder:
             want = np.abs(np.linalg.eigvalsh(E)).max()
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
             assert got <= 2.0 * norm_L * c * c + 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_commutator_norms_2d_against_dense_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        box = LatticeBox.centered(2, int(rng.integers(10, 19)))
+        coupling = float(rng.uniform(0.2, 2.0))
+        op = lattice.SymmetricLatticeOperator(
+            box=box, diagonal=rng.uniform(0.0, 5.0, box.size), coupling=coupling
+        )
+        M = box.hi[0]
+        r = float(rng.uniform(2.0, M / 2.5))
+        c = tuple(int(v) for v in rng.integers(-M + int(r) + 1, M - int(r), 2))
+        etas = ims_partition([c], r, box)
+        H = op.dense()
+        for eta, got in zip(etas, double_commutator_norms(op, etas)):
+            # eta^2 H + H eta^2 - 2 eta H eta with diagonal multipliers
+            E = (eta[:, None] ** 2 + eta[None, :] ** 2) * H
+            E -= 2.0 * eta[:, None] * H * eta[None, :]
+            want = np.abs(np.linalg.eigvalsh(E)).max()
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    def test_commutator_norms_small_2d_supports(self):
+        # a point bump on the 2-d Laplacian: a star of four unit edges, norm 2
+        box = LatticeBox.centered(2, 2)
+        eta = np.zeros(box.size)
+        eta[box.index((0, 0))] = 1.0
+        got = double_commutator_norms(assemble_laplacian(box), [eta])[0]
+        assert got == pytest.approx(2.0, rel=1e-12)
+        # a single neighbor pair has norm |w|
+        op = lattice.SymmetricLatticeOperator(
+            box=LatticeBox(lo=(0, 0), hi=(0, 1)), diagonal=np.zeros(2), coupling=1.5
+        )
+        assert double_commutator_norms(op, [np.array([0.0, 0.5])]) == [1.5 * 0.25]
 
     def test_partition_not_unity_rejected(self):
         op, etas = self._random_instance(0)

@@ -386,6 +386,19 @@ class TestImsExperiment:
             for row in report.rows:
                 assert row.potdiff_norm / row.potdiff_scale < 0.5
 
+    def test_2d_supports_beyond_the_old_dense_extraction(self):
+        # the eta_0 commutator support here has more than 4000 nodes
+        params = ScalingParams(N=64, gamma=0.0, omega=2.0)
+        report = ims_general_experiment(double_well_nd(2), params, 0.2)
+        norm_L = 4.0 * 2 * 0.5 * 64.0**2
+        assert report.identity_residual <= 1e-12
+        assert math.isfinite(report.eta0_commutator_norm)
+        assert report.eta0_commutator_norm <= report.eta0_bound
+        assert len(report.rows) == 4
+        for row in report.rows:
+            assert math.isfinite(row.commutator_norm)
+            assert row.commutator_norm <= 2.0 * norm_L * row.variation**2
+
     def test_commutator_bound_formula(self):
         V = double_well()
         params = ScalingParams(N=128, gamma=0.0, omega=2.0)
