@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -44,12 +45,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# a column whose cells all have one of these exact types is formatted with
+# one ``map`` call; any other column goes through ``_fmt`` cell by cell
+_COLUMN_FORMATS = {float: "{:.17g}".format, int: str, str: str}
+
+
+def _fmt_column(column: list) -> map:
+    kinds = set(map(type, column))
+    if len(kinds) == 1 and (kind := kinds.pop()) in _COLUMN_FORMATS:
+        return map(_COLUMN_FORMATS[kind], column)
+    return map(_fmt, column)
+
+
 def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+    """Write ``header`` and equal-width ``rows``, each cell formatted as ``_fmt`` does."""
+    # itemgetter per column rather than zip(*rows), which makes one iterator per row
+    width = len(rows[0]) if rows else 0
+    columns = [_fmt_column(list(map(itemgetter(i), rows))) for i in range(width)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*columns))
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -294,10 +310,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_sigma(cfg: RunConfig) -> int:
     V = _resolve_potential(cfg)
     seq = semiclassics.sigma_enumerate(V, _default(cfg.count, 8))
-    rows = [
-        (n, float(v), well, "+".join(str(m) for m in multi))
-        for n, (v, (well, multi)) in enumerate(zip(seq.values, seq.provenance))
-    ]
+    multi_index = "+".join(["{}"] * V.dimension).format
+    wells = [well for well, _ in seq.provenance]
+    multis = [multi_index(*multi) for _, multi in seq.provenance]
+    rows = list(zip(range(len(seq)), seq.values.tolist(), wells, multis))
     path = _csv_path(cfg, "sigma.csv")
     write_csv(path, ["n", "e_n", "well", "multi_index"], rows)
     _summary(cfg, "sigma", True, {}, path)
@@ -441,9 +457,12 @@ def cmd_intervals(cfg: RunConfig) -> int:
     write_csv(path, ["n", "kappa", "j", "lo", "hi", "beta", "modified",
                      "E0", "ratio", "cert_ok", "cert_slack"], rows)
     passed = cover and report.all_certificates_ok and report.ratio_ok
+    # the capped certificate needs kappa^4 x_delta^2 >= threshold kappa^2 past
+    # the spike, with x_delta ~ kappa^-(1 + delta): kappa <= threshold^(-1/(2 delta))
     _summary(cfg, "intervals", passed, {
         "min_ratio": report.min_ratio,
         "threshold": report.threshold,
+        "kappa_admissible_max": report.threshold ** (-0.5 / delta),
         "cover_ok": cover,
     }, path)
     return EXIT_OK if passed else EXIT_ASSERTION

@@ -170,29 +170,46 @@ def eigs_sparse(op, k: int) -> SpectrumResult:
     ``k + 1`` of them, with the shift strictly below the Gershgorin bound so
     that the largest values of ``(H - sigma)^{-1}`` are the lowest of ``H``;
     a fixed-seed start vector keeps reruns byte-identical and overlaps every
-    symmetry class.  The index is then certified: :func:`count_below` at the
-    midpoint of the ``k``-th and ``(k+1)``-th candidates must be exactly
-    ``k``, else :class:`ConvergenceFailure` is raised.  A missed or doubled
-    eigenvalue therefore cannot pass silently.
+    symmetry class.  The index is then certified at the first gap at or
+    above candidate ``k`` wider than the rounding level ``1e3 eps ||H||``
+    (Gershgorin norm): :func:`count_below` at the midpoint of candidates
+    ``j - 1`` and ``j`` of that gap must be exactly ``j``, else
+    :class:`ConvergenceFailure` is raised.  A missed or doubled eigenvalue
+    therefore cannot pass silently.  Usually the gap is at ``j = k``; when
+    ``k`` splits a degenerate cluster, more candidates are requested until
+    one wider gap is found.
     """
     from scipy.sparse.linalg import ArpackError, eigsh
 
     if not 1 <= k <= op.size - 2:
         raise ValueError(f"k={k} out of range for size {op.size}")
-    lo = float(op.diagonal.min()) - 2.0 * op.box.dimension * float(op.coupling)
+    reach = 2.0 * op.box.dimension * float(op.coupling)
+    lo = float(op.diagonal.min()) - reach
     sigma = lo - 1e-3 * (1.0 + abs(lo))
+    rounding = 1e3 * np.finfo(float).eps * (float(np.abs(op.diagonal).max()) + reach)
     v0 = np.random.default_rng(1234).standard_normal(op.size)
-    try:
-        values = eigsh(op.sparse(), k=k + 1, sigma=sigma, which="LM", tol=0, v0=v0,
-                       return_eigenvectors=False)
-    except ArpackError as exc:  # includes ArpackNoConvergence
-        raise ConvergenceFailure(str(exc)) from exc
-    values = np.sort(values)
-    count = count_below(op, 0.5 * (values[k - 1] + values[k]))
-    if count != k:
+    wanted = k + 1
+    while True:
+        try:
+            values = eigsh(op.sparse(), k=wanted, sigma=sigma, which="LM", tol=0,
+                           v0=v0, return_eigenvectors=False)
+        except ArpackError as exc:  # includes ArpackNoConvergence
+            raise ConvergenceFailure(str(exc)) from exc
+        values = np.sort(values)
+        wide = np.flatnonzero(np.diff(values[k - 1:]) > rounding)
+        if wide.size:
+            break
+        if wanted == op.size - 1:
+            raise ConvergenceFailure(
+                f"no gap wider than {rounding:.3g} above candidate {k - 1}"
+            )
+        wanted = min(2 * wanted, op.size - 1)
+    j = k + int(wide[0])
+    count = count_below(op, 0.5 * (values[j - 1] + values[j]))
+    if count != j:
         raise ConvergenceFailure(
             f"index certificate failed: {count} eigenvalues below the midpoint "
-            f"of candidates {k - 1} and {k}, expected {k}"
+            f"of candidates {j - 1} and {j}, expected {j}"
         )
     return SpectrumResult(values=values[:k], box=op.box)
 

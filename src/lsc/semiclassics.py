@@ -71,45 +71,82 @@ class SigmaSequence:
         return self.values.size
 
 
-def _well_level(frequencies: np.ndarray, multi: tuple[int, ...]) -> float:
-    return 0.5 * float(
-        sum(w * (2 * m + 1) for w, m in zip(frequencies, multi))
-    )
+def _volume_level(frequencies: list[np.ndarray], count: int) -> float:
+    """Lowest level ``E`` (to bisection accuracy) whose per-well simplex
+    volumes sum to at least ``count``.
+
+    The states ``m >= 0`` of a well with ``sum w_i (2 m_i + 1) <= 2E`` are at
+    least as many as the volume of ``{x >= 0 : sum 2 w_i x_i <= 2E - sum
+    w_i}``, so this level has at least ``count`` states below it; rounding
+    moves their computed levels by far less than the margin of
+    :func:`_well_states`.
+    """
+    d = frequencies[0].size
+    wells = [(float(w.sum()), math.factorial(d) * math.prod(2.0 * w)) for w in frequencies]
+
+    def volume(level: float) -> float:
+        return sum(max(2.0 * level - W, 0.0) ** d / scale for W, scale in wells)
+
+    lo = min(W for W, _ in wells) / 2.0
+    hi = max(W + (count * scale) ** (1.0 / d) for W, scale in wells) / 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if volume(mid) >= count else (mid, hi)
+    return hi
+
+
+def _well_states(frequencies: np.ndarray, level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every multi-index of one well whose level is at most ``level``.
+
+    Walks the simplex axis by axis with the remaining budget, so the states
+    come out in lexicographic order and no bounding box is built.  Levels
+    are summed in axis order, ``0.5 * ((w_0 (2 m_0 + 1) + w_1 (2 m_1 + 1))
+    + ...)``, one float operation per term.  The budget carries a relative
+    margin of ``1e-9``, far above that rounding, so the result may hold a
+    few states just above ``level`` but never misses one below it.
+    """
+    budget = 2.0 * level * (1.0 + 1e-9)
+    later = np.append(np.cumsum(frequencies[::-1])[::-1][1:], 0.0)
+    sums = np.zeros(1)
+    columns: list[np.ndarray] = []
+    for w, rest in zip(frequencies, later):
+        counts = np.floor((budget - rest - w - sums) / (2.0 * w)).astype(np.int64) + 1
+        counts = np.maximum(counts, 0)
+        parent = np.repeat(np.arange(sums.size), counts)
+        m = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        columns = [c[parent] for c in columns] + [m]
+        sums = sums[parent] + w * (2 * m + 1)
+    return 0.5 * sums, np.column_stack(columns)
 
 
 def sigma_enumerate(V: Potential, count: int) -> SigmaSequence:
     """First ``count`` harmonic-well energies over all wells, nondecreasing.
 
-    Best-first heap over (value, well index, multi-index) states; the tie
-    order is deterministic: value, then well index, then lexicographic
-    multi-index.
+    The order is value, then well index, then lexicographic multi-index.
+    A threshold level with at least ``count`` states below it comes from the
+    simplex volume of each well; every state below it (plus the few inside
+    the rounding margin of :func:`_well_states`) is generated with numpy and
+    stably sorted by value, and the first ``count`` are kept.  The states
+    enter the sort in (well index, lexicographic multi-index) order, so ties
+    keep exactly that order.
+    Each value is ``0.5 * sum_i w_i (2 m_i + 1)`` summed term by term in
+    axis order, so it has the same bits whichever way the states are found.
     """
-    import heapq
-
     if count < 1:
         raise ValueError("count must be >= 1")
     if not V.wells:
         raise ValueError("potential has no registered wells")
-    heap = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    for l, well in enumerate(V.wells):
-        start = (0,) * V.dimension
-        heapq.heappush(heap, (_well_level(well.frequencies, start), l, start))
-        seen.add((l, start))
-    values = np.empty(count)
-    provenance: list[tuple[int, tuple[int, ...]]] = []
-    for i in range(count):
-        value, l, multi = heapq.heappop(heap)
-        values[i] = value
-        provenance.append((l, multi))
-        freqs = V.wells[l].frequencies
-        for ax in range(V.dimension):
-            nxt = multi[:ax] + (multi[ax] + 1,) + multi[ax + 1 :]
-            if (l, nxt) not in seen:
-                seen.add((l, nxt))
-                heapq.heappush(heap, (_well_level(freqs, nxt), l, nxt))
+    frequencies = [well.frequencies for well in V.wells]
+    level = _volume_level(frequencies, count)
+    states = [_well_states(w, level) for w in frequencies]
+    values = np.concatenate([v for v, _ in states])
+    order = np.argsort(values, kind="stable")[:count]
+    wells = np.repeat(np.arange(len(states)), [v.size for v, _ in states])
+    multi = np.concatenate([m for _, m in states])[order]
     return SigmaSequence(
-        potential_name=V.name, values=values, provenance=tuple(provenance)
+        potential_name=V.name,
+        values=values[order],
+        provenance=tuple(zip(wells[order].tolist(), zip(*multi.T.tolist()))),
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line front end: CSV contracts, exit codes, config files."""
 
+import csv
+import hashlib
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from lsc.potentials import (
     Potential,
     ScalingParams,
     double_well,
+    harmonic,
     register_potential,
 )
 
@@ -48,6 +51,49 @@ class TestSigmaCommand:
         got = [(int(r[0]), float(r[1])) for r in rows]
         assert got == [(0, 0.5), (1, 1.5), (2, 2.5), (3, 3.5)]
 
+    def test_double_well_2d_benchmark_size_bytes(self, tmp_path):
+        # SHA-256 of the CSV written by the heap enumeration and per-cell formatting
+        code = run(
+            ["sigma", "--potential", "double_well_2d", "--count", "50000"],
+            tmp_path, out="sigma.csv",
+        )
+        assert code == 0
+        digest = hashlib.sha256((tmp_path / "sigma.csv").read_bytes()).hexdigest()
+        assert digest == "bcff0cc2fffdd6c93fa51b45ae159fa330568b33ccabadc8c9812132cbe333f5"
+
+
+def fmt_reference(value):
+    """Cell formatting of the one-cell-at-a-time writer."""
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("rows", [
+        [(True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1.0 / 3.0),
+          math.nan, -math.inf, "a,b")],
+        # uniform columns take the per-column path
+        [(n, n / 7.0, n % 2, f"{n}+{n}") for n in range(50)],
+        # mixed types inside every column
+        [(1, 2.5, "x", True), (np.int64(2), np.float64(1e-300), 'q"uote', False),
+         (3.0, 7, np.bool_(True), math.inf), (False, "a,b", 0.0, np.int32(5))],
+        [],
+    ], ids=["mixed-row", "uniform", "mixed-columns", "empty"])
+    def test_bytes_match_a_per_cell_writer(self, tmp_path, rows):
+        header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+        cli.write_csv(str(tmp_path / "new.csv"), header, rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([fmt_reference(v) for v in row])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 class TestSpectrumCommand:
     def test_three_point_free_laplacian(self, tmp_path):
@@ -81,6 +127,22 @@ class TestSpectrumCommand:
         assert triplets[("0", "1")] == -1.0
         assert triplets[("1", "0")] == -1.0
         assert len(lines) == 3 + 4
+
+    def test_degenerate_pair_split_by_k(self, tmp_path):
+        # k = 2 splits the exactly degenerate pair (1, 0)/(0, 1); the index is
+        # certified at the next resolvable gap instead
+        code = run(
+            ["spectrum", "--potential", "harmonic", "--omega", "1,1", "--N", "8",
+             "--M", "10", "--k", "2"],
+            tmp_path, out="spec.csv",
+        )
+        assert code == 0
+        _, rows = read_rows(tmp_path / "spec.csv")
+        op = assemble_HN(harmonic([1.0]), ScalingParams(N=8, gamma=0.0, omega=1.0),
+                         LatticeBox.centered(1, 10))
+        axis = np.linalg.eigvalsh(op.dense())
+        want = np.sort(np.add.outer(axis, axis).ravel())[:2]
+        np.testing.assert_allclose([float(r[1]) for r in rows], want, rtol=1e-11)
 
     def test_box_override_in_2d_matches_the_tensorized_route(self, tmp_path):
         code = run(
@@ -251,6 +313,16 @@ class TestExitCodes:
         assert code == cli.EXIT_ASSERTION
         summary = json.loads((tmp_path / "i.json").read_text())
         assert summary["pass"] is False
+
+    def test_interval_summary_reports_admissible_kappa(self, tmp_path):
+        run(
+            ["intervals", "--nmax", "3", "--kappa", "0.05", "--delta-spike", "0.25"],
+            tmp_path, out="i.csv", json="i.json",
+        )
+        constants = json.loads((tmp_path / "i.json").read_text())["measured_constants"]
+        # (0.9 (2n + 1))^(-1/(2 delta)) = 6.3^-2
+        assert constants["kappa_admissible_max"] == pytest.approx(6.3**-2, rel=1e-14)
+        assert round(constants["kappa_admissible_max"], 4) == 0.0252
 
     def test_interval_pass(self, tmp_path):
         code = run(

@@ -181,6 +181,16 @@ class TestSparse:
         with pytest.raises(ConvergenceFailure, match="index certificate"):
             eigs_sparse(two_well_2d(2, M=8), 4)
 
+    def test_degenerate_clusters_certified_at_the_next_gap(self):
+        # free Laplacian on a 3 x 3 box: multiplicities 1, 2, 3, 2, 1, so most
+        # k split a cluster; past the top one no wider gap is left below size - 1
+        op = assemble_laplacian(LatticeBox(lo=(0, 0), hi=(2, 2)))
+        dense = np.linalg.eigvalsh(op.dense())
+        for k in range(1, 7):
+            np.testing.assert_allclose(eigs_sparse(op, k).values, dense[:k], rtol=1e-12)
+        with pytest.raises(ConvergenceFailure, match="no gap wider than"):
+            eigs_sparse(op, 7)
+
     def test_singular_or_non_finite_pivot_fails(self):
         op = SymmetricLatticeOperator(
             box=LatticeBox(lo=(0, 0), hi=(1, 0)), diagonal=np.ones(2), coupling=1.0

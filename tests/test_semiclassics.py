@@ -1,9 +1,13 @@
 """Tests for the experiment drivers: limit spectra, studies, sweeps, certificates."""
 
+import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsc import eigensolve, hermite, lattice, semiclassics
 from lsc.errors import DegenerateDecomposition
@@ -12,6 +16,7 @@ from lsc.potentials import (
     Potential,
     ScalingParams,
     Well,
+    builtin_potential,
     double_well,
     double_well_nd,
     harmonic,
@@ -49,6 +54,59 @@ def sigma_brute_force(V, count):
     omega_min = min(float(w.frequencies[0]) for w in V.wells)
     assert states[count - 1][0] < 0.5 * omega_min * (2 * n_cap + 1)
     return states[:count]
+
+
+def sigma_heap_reference(V, count):
+    """Best-first heap walk over (value, well index, multi-index) states.
+
+    Every state is pushed once, by the first of its predecessors to pop; a
+    successor (one index raised by one) never has a smaller value, and ties
+    break by well index and then lexicographic multi-index, so the pops come
+    in the global sorted order.  Values are summed term by term in axis order.
+    """
+
+    def level(frequencies, multi):
+        return 0.5 * float(sum(w * (2 * m + 1) for w, m in zip(frequencies, multi)))
+
+    start = (0,) * V.dimension
+    heap = [(level(well.frequencies, start), l, start) for l, well in enumerate(V.wells)]
+    heapq.heapify(heap)
+    seen = {(l, start) for l in range(len(V.wells))}
+    values = np.empty(count)
+    provenance = []
+    for i in range(count):
+        value, l, multi = heapq.heappop(heap)
+        values[i] = value
+        provenance.append((l, multi))
+        for ax in range(V.dimension):
+            nxt = multi[:ax] + (multi[ax] + 1,) + multi[ax + 1:]
+            if (l, nxt) not in seen:
+                seen.add((l, nxt))
+                heapq.heappush(heap, (level(V.wells[l].frequencies, nxt), l, nxt))
+    return values, tuple(provenance)
+
+
+def wells_potential(frequencies):
+    """Potential carrying one well per frequency vector (the evaluator is unused)."""
+    d = len(frequencies[0])
+    wells = tuple(
+        Well(location=np.full(d, 3.0 * l), frequencies=np.sort(w))
+        for l, w in enumerate(frequencies)
+    )
+    return Potential(dimension=d, evaluator=lambda pts: np.zeros(pts.shape[0]),
+                     wells=wells, positivity_radius=1.0, positivity_floor=0.1,
+                     name="wells")
+
+
+@st.composite
+def sigma_cases(draw):
+    d = draw(st.integers(1, 4))
+    n_wells = draw(st.integers(1, 4))
+    tied = st.sampled_from([0.5, 1.0, 1.5, 2.0])
+    spread = st.floats(0.05, 20.0, allow_nan=False, allow_infinity=False)
+    frequency = draw(st.sampled_from([tied, spread]))
+    freqs = [draw(st.lists(frequency, min_size=d, max_size=d)) for _ in range(n_wells)]
+    return wells_potential(freqs), draw(st.integers(1, 3000))
 
 
 def three_well_potential():
@@ -119,6 +177,40 @@ class TestSigma:
             value, l, multi = brute[i]
             assert seq.values[i] == value
             assert seq.provenance[i] == (l, multi)
+
+
+class TestSigmaAgainstHeap:
+    """The sorted-array enumeration reproduces the heap walk bit for bit."""
+
+    @staticmethod
+    def assert_same(V, count):
+        seq = sigma_enumerate(V, count)
+        values, provenance = sigma_heap_reference(V, count)
+        assert seq.values.dtype == np.float64
+        assert np.array_equal(seq.values, values)
+        assert seq.provenance == provenance
+        assert all(type(l) is int and all(type(m) is int for m in multi)
+                   for l, multi in seq.provenance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sigma_cases())
+    def test_random_wells(self, case):
+        self.assert_same(*case)
+
+    def test_benchmark_size_double_well_2d(self):
+        self.assert_same(builtin_potential("double_well_2d"), 50000)
+
+    def test_six_dimensions_without_a_bounding_box(self):
+        # the first 5000 states have m_i <= 9: their bounding box holds 10^6
+        # points, over 50 MB for levels plus indices; the simplex needs ~3 MB
+        tracemalloc.start()
+        try:
+            sigma_enumerate(harmonic([1.0] * 6), 5000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        self.assert_same(harmonic([1.0] * 6), 5000)
 
 
 class TestGrowthExponent:
