@@ -56,9 +56,11 @@ __all__ = [
     "dense_eigvalsh",
 ]
 
-CLUSTER_RTOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 BOX_DOUBLING_RTOL = 1e-11
+MAX_DOUBLINGS = 14
+NODAL_ZERO_RTOL = 1e-9  # entries below this fraction of the sup norm count as zeros
+SYMMETRY_RTOL = 1e-8
 
 
 def _as_tridiagonal(op) -> tuple[np.ndarray, np.ndarray]:
@@ -87,25 +89,12 @@ class SpectrumResult:
         if np.any(np.diff(self.values) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
 
-    def multiplicity_clusters(self, rtol: float = CLUSTER_RTOL) -> list[list[int]]:
-        """Group indices whose eigenvalues agree within relative gap ``rtol``."""
-        clusters: list[list[int]] = []
-        for i, lam in enumerate(self.values):
-            if clusters and abs(lam - self.values[clusters[-1][-1]]) <= rtol * (
-                1.0 + abs(lam)
-            ):
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        return clusters
-
 
 @dataclass(frozen=True)
 class NodalReport:
     """Sign-run count of an eigenvector on the path graph."""
 
     count: int
-    threshold: float
     index: int | None = None
     symmetry: str | None = None
 
@@ -177,7 +166,8 @@ def eigs_sparse(op, k: int) -> SpectrumResult:
     :class:`ConvergenceFailure` is raised.  A missed or doubled eigenvalue
     therefore cannot pass silently.  Usually the gap is at ``j = k``; when
     ``k`` splits a degenerate cluster, more candidates are requested until
-    one wider gap is found.
+    one wider gap is found.  When the midpoint makes a block pivot singular,
+    the count is taken once more at the quarter point of the same gap.
     """
     from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -205,11 +195,16 @@ def eigs_sparse(op, k: int) -> SpectrumResult:
             )
         wanted = min(2 * wanted, op.size - 1)
     j = k + int(wide[0])
-    count = count_below(op, 0.5 * (values[j - 1] + values[j]))
+    try:
+        count = count_below(op, 0.5 * (values[j - 1] + values[j]))
+    except ConvergenceFailure:
+        # the midpoint is an eigenvalue of a slab block; every point strictly
+        # inside the gap certifies the same index
+        count = count_below(op, values[j - 1] + 0.25 * (values[j] - values[j - 1]))
     if count != j:
         raise ConvergenceFailure(
-            f"index certificate failed: {count} eigenvalues below the midpoint "
-            f"of candidates {j - 1} and {j}, expected {j}"
+            f"index certificate failed: {count} eigenvalues below a point "
+            f"between candidates {j - 1} and {j}, expected {j}"
         )
     return SpectrumResult(values=values[:k], box=op.box)
 
@@ -367,16 +362,14 @@ def eigs_separable(axis_spectra: Sequence[Sequence[float]], k: int) -> np.ndarra
     return np.array([v for v, _ in k_smallest_sums(axis_spectra, k)])
 
 
-def nodal_domains(
-    vec: np.ndarray, threshold_rel: float = 1e-9, index: int | None = None
-) -> NodalReport:
+def nodal_domains(vec: np.ndarray, index: int | None = None) -> NodalReport:
     """Count maximal runs of constant nonzero sign on a path graph.
 
-    Entries below ``threshold_rel`` times the sup norm count as zeros and
+    Entries below ``NODAL_ZERO_RTOL`` times the sup norm count as zeros and
     separate domains.  Raises :class:`AllZero` when nothing survives.
     """
     v = np.asarray(vec, dtype=float)
-    cut = threshold_rel * np.abs(v).max()
+    cut = NODAL_ZERO_RTOL * np.abs(v).max()
     signs = np.sign(v)
     signs[np.abs(v) < cut] = 0
     runs = 0
@@ -390,10 +383,10 @@ def nodal_domains(
     if runs == 0:
         raise AllZero("every entry is below the zero threshold")
     symmetry = classify_symmetry(v) if v.size % 2 == 1 else None
-    return NodalReport(count=runs, threshold=threshold_rel, index=index, symmetry=symmetry)
+    return NodalReport(count=runs, index=index, symmetry=symmetry)
 
 
-def classify_symmetry(vec: np.ndarray, tol: float = 1e-8) -> str:
+def classify_symmetry(vec: np.ndarray) -> str:
     """Classify a vector on a symmetric box as symmetric / antisymmetric / neither."""
     v = np.asarray(vec, dtype=float)
     if v.size % 2 != 1:
@@ -401,26 +394,25 @@ def classify_symmetry(vec: np.ndarray, tol: float = 1e-8) -> str:
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise ZeroVector("cannot classify the zero vector")
-    if np.linalg.norm(v - v[::-1]) <= tol * nrm:
+    if np.linalg.norm(v - v[::-1]) <= SYMMETRY_RTOL * nrm:
         return "symmetric"
-    if np.linalg.norm(v + v[::-1]) <= tol * nrm:
+    if np.linalg.norm(v + v[::-1]) <= SYMMETRY_RTOL * nrm:
         return "antisymmetric"
     return "neither"
 
 
-def verify_superharmonic(op, alpha: float, u: np.ndarray, region=None):
-    """Pointwise check that ``(H + alpha) u >= 0`` on the region.
+def verify_superharmonic(op, alpha: float, u: np.ndarray):
+    """Pointwise check that ``(H + alpha) u >= 0`` on the operator's box.
 
     ``u`` lives on the operator's box and is implicitly zero outside it.
     A ``True`` verdict certifies that the ground energy of ``H`` is at
     least ``-alpha``.  Returns ``(ok, min_slack)``.
     """
     u = np.asarray(u, dtype=float)
-    mask = np.ones(u.size, dtype=bool) if region is None else np.asarray(region, bool)
-    if np.any(u[mask] <= 0.0):
-        raise NonPositiveFunction("certificate function must be > 0 on the region")
+    if np.any(u <= 0.0):
+        raise NonPositiveFunction("certificate function must be > 0 on the box")
     slack = op.matvec(u) + alpha * u
-    min_slack = float(slack[mask].min())
+    min_slack = float(slack.min())
     return min_slack >= 0.0, min_slack
 
 
@@ -451,28 +443,26 @@ def subspace_upper_bounds(op, test_vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def converged_spectrum(
-    assemble: Callable[[int], object],
-    M0: int,
-    k: int,
-    rel: float = BOX_DOUBLING_RTOL,
-    max_doublings: int = 14,
+    assemble: Callable[[int], object], M0: int, k: int
 ) -> SpectrumResult:
     """Solve on boxes of doubling half-width until the spectrum stabilizes.
 
     ``assemble(M)`` must build the operator on the half-width ``M`` box.
-    Stops once every eigenvalue moves by at most ``rel * (1 + |E|)`` under
-    a doubling and returns the spectrum on the final box; raises
-    :class:`BoxTooSmall` when ``max_doublings`` doublings do not get there.
+    Stops once every eigenvalue moves by at most ``BOX_DOUBLING_RTOL * (1 +
+    |E|)`` under a doubling and returns the spectrum on the final box;
+    raises :class:`BoxTooSmall` when ``MAX_DOUBLINGS`` doublings do not get
+    there.
     """
     M = int(M0)
     prev = eigs_tridiag(assemble(M), k)
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         M *= 2
         cur = eigs_tridiag(assemble(M), k)
-        if np.all(np.abs(cur.values - prev.values) <= rel * (1.0 + np.abs(cur.values))):
+        moved = np.abs(cur.values - prev.values)
+        if np.all(moved <= BOX_DOUBLING_RTOL * (1.0 + np.abs(cur.values))):
             return cur
         prev = cur
     raise BoxTooSmall(
         f"spectrum still moves under doubling at half-width {M} "
-        f"after {max_doublings} doublings"
+        f"after {MAX_DOUBLINGS} doublings"
     )

@@ -14,7 +14,6 @@ and by the Taylor-remainder integral for cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from .errors import BoxTooSmall, ConvergenceFailure, QuadratureFailure
 from .lattice import LatticeBox
 
 __all__ = [
-    "HermiteBasis",
-    "TestFunction",
     "hermite_eval",
     "probabilists_eval",
     "weighted_eval",
@@ -34,7 +31,6 @@ __all__ = [
     "residual_integral",
     "psi_fourth_derivative",
     "gram_entry",
-    "gram_matrix",
     "tail_mass",
 ]
 
@@ -129,60 +125,21 @@ def nonnegative_zeros(n: int) -> np.ndarray:
     return z[z >= 0.0]
 
 
-@dataclass(frozen=True, eq=False)
-class HermiteBasis:
-    """Zero tables for all degrees up to ``n_max``."""
-
-    n_max: int
-    zeros: tuple[np.ndarray, ...]
-
-    @classmethod
-    def build(cls, n_max: int) -> "HermiteBasis":
-        return cls(n_max=n_max, zeros=tuple(hermite_zeros(n) for n in range(n_max + 1)))
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Lattice quasimode ``x -> h_n(b k (x - c)) exp(-(b k (x - c))^2 / 2)``.
-
-    ``stretch`` is the scale factor anchoring a Hermite zero to an interval
-    endpoint; with ``absolute=True`` the modulus is taken, which is the
-    form used as a positive certificate on one interval between zeros.
-    """
-
-    __test__ = False  # keep pytest from collecting the class by its name
-
-    degree: int
-    kappa: float
-    stretch: float = 1.0
-    center: int = 0
-    absolute: bool = False
-
-    def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.stretch < 1.0:
-            raise ValueError("stretch factor is always >= 1")
-
-    def __call__(self, x):
-        y = self.stretch * self.kappa * (np.asarray(x, dtype=float) - self.center)
-        vals = weighted_eval(self.degree, y)
-        return np.abs(vals) if self.absolute else vals
-
-
 def box_halfwidth(n: int, kappa: float) -> int:
     """Half-width covering the quasimode: 8 Gaussian widths past the turning point."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     return int(math.ceil((math.sqrt(2.0 * n + 1.0) + 8.0) / kappa))
 
 
-def tail_mass(n: int, kappa: float, start: int, stretch: float = 1.0) -> float:
-    """Sum of ``Psi_n(stretch*kappa*x)^2`` over ``|x| >= start`` (both tails)."""
+def tail_mass(n: int, kappa: float, start: int) -> float:
+    """Sum of ``Psi_n(kappa x)^2`` over ``|x| >= start`` (both tails)."""
     total = 0.0
     x = abs(int(start))
     chunk = 256
     while True:
         xs = np.arange(x, x + chunk, dtype=float)
-        t = weighted_eval(n, stretch * kappa * xs)
+        t = weighted_eval(n, kappa * xs)
         s = float(np.dot(t, t))
         total += 2.0 * s
         if s <= 1e-30 * total + 1e-300:
@@ -315,10 +272,3 @@ def gram_entry(n: int, m: int, kappa: float, box: LatticeBox) -> float:
     if tail > 1e-14 * scale:
         raise BoxTooSmall(f"gram tail {tail:.2e} above 1e-14 of scale {scale:.2e}")
     return result
-
-
-def gram_matrix(n_max: int, kappa: float, box: LatticeBox) -> np.ndarray:
-    """All pairwise Gram entries for degrees ``0..n_max``."""
-    xs = box.coords().astype(float)
-    P = np.column_stack([weighted_eval(n, kappa * xs) for n in range(n_max + 1)])
-    return P.T @ P

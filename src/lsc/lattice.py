@@ -44,7 +44,6 @@ __all__ = [
     "assemble_modified",
     "build_interval_decomposition",
     "beta_rate_bound",
-    "restrict",
     "ims_partition",
     "ims_remainder",
     "ims_identity_residual",
@@ -226,11 +225,6 @@ class SymmetricLatticeOperator:
             counts[tuple(sl_first)] += 1
             counts[tuple(sl_last)] += 1
         return counts.reshape(self.size)
-
-
-def restrict(op: SymmetricLatticeOperator, sub: LatticeBox) -> SymmetricLatticeOperator:
-    """Module-level alias for :meth:`SymmetricLatticeOperator.restrict`."""
-    return op.restrict(sub)
 
 
 def assemble_laplacian(box: LatticeBox) -> SymmetricLatticeOperator:

@@ -36,7 +36,6 @@ __all__ = [
     "sample_on_lattice",
     "hessian_frequencies",
     "validate_assumptions",
-    "jacobi_eigenvalues",
     "harmonic",
     "double_well",
     "double_well_nd",
@@ -55,13 +54,11 @@ class Well:
     """A non-degenerate minimum of a potential.
 
     ``frequencies`` are the square roots of the Hessian eigenvalues at the
-    minimum, sorted ascending.  ``axes`` holds the principal frame as an
-    orthonormal matrix of column vectors; ``None`` means axis-aligned.
+    minimum, sorted ascending.
     """
 
     location: np.ndarray
     frequencies: np.ndarray
-    axes: np.ndarray | None = None
 
     def __post_init__(self):
         loc = np.atleast_1d(np.asarray(self.location, dtype=float))
@@ -74,11 +71,6 @@ class Well:
             raise ValueError("well frequencies must be sorted ascending")
         if freqs.shape != loc.shape:
             raise ValueError("one frequency per coordinate is required")
-        if self.axes is not None:
-            axes = np.asarray(self.axes, dtype=float)
-            if not np.allclose(axes.T @ axes, np.eye(loc.size), atol=1e-12):
-                raise ValueError("principal axes must be orthonormal")
-            object.__setattr__(self, "axes", axes)
 
     @property
     def dimension(self) -> int:
@@ -164,33 +156,6 @@ def sample_on_lattice(V: Potential, N: int, box) -> np.ndarray:
     return np.asarray(V.evaluator(pts / float(N)), dtype=float).reshape(box.size)
 
 
-def jacobi_eigenvalues(A: np.ndarray, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations."""
-    A = np.array(A, dtype=float, copy=True)
-    d = A.shape[0]
-    if d == 1:
-        return A[0, :1].copy()
-    scale = max(1.0, float(np.abs(A).max()))
-    for _ in range(max_sweeps):
-        off = max(abs(A[i, j]) for i in range(d - 1) for j in range(i + 1, d))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(A[p, q]) <= 1e-18 * scale:
-                    continue
-                theta = 0.5 * (A[q, q] - A[p, p]) / A[p, q]
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(d)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-    return np.sort(np.diag(A))
-
-
 def _hessian_step(a: np.ndarray) -> np.ndarray:
     # cube root of machine epsilon, the standard step for second differences
     return np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + np.abs(a))
@@ -225,7 +190,7 @@ def hessian_frequencies(V: Potential, a) -> np.ndarray:
     """Square roots of the Hessian eigenvalues of ``V`` at the minimum ``a``.
 
     The point is validated to be a zero of ``V``; the Hessian is formed by
-    central differences and diagonalized with Jacobi rotations.  Raises
+    central differences and diagonalized with ``np.linalg.eigvalsh``.  Raises
     :class:`NonPositiveHessian` for degenerate minima.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -233,7 +198,7 @@ def hessian_frequencies(V: Potential, a) -> np.ndarray:
     if abs(value) > 1e-8:
         raise ValueError(f"V(a)={value:.3e} is not zero; not a registered-style well")
     H = central_difference_hessian(V, a)
-    eigs = jacobi_eigenvalues(H)
+    eigs = np.linalg.eigvalsh(H)
     tol = 1e-6 * max(1.0, float(np.abs(H).max()))
     if np.any(eigs <= tol):
         raise NonPositiveHessian(

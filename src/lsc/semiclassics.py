@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -160,6 +161,16 @@ def predicted_growth_exponent(gamma: float) -> float:
     return 2.0 * abs(gamma)
 
 
+def _converged_1d(
+    assemble: Callable[[LatticeBox], SymmetricLatticeOperator], M0: int, count: int
+) -> SpectrumResult:
+    """Lowest ``count`` levels of a 1-d operator under box doubling from
+    half-width ``M0``; ``assemble(box)`` builds it on a centered box."""
+    return eigensolve.converged_spectrum(
+        lambda M: assemble(LatticeBox.centered(1, M)), M0, count
+    )
+
+
 # ----------------------------------------------------------------------
 # quadratic-well studies
 # ----------------------------------------------------------------------
@@ -167,11 +178,7 @@ def predicted_growth_exponent(gamma: float) -> float:
 def harmonic_levels(kappa: float, count: int) -> SpectrumResult:
     """Truncation-converged low-lying levels of ``Delta + kappa^4 x^2``."""
     M0 = hermite.box_halfwidth(count - 1, kappa)
-
-    def assemble(M: int) -> SymmetricLatticeOperator:
-        return lattice.assemble_Hkappa(kappa, LatticeBox.centered(1, M))
-
-    return eigensolve.converged_spectrum(assemble, M0, count)
+    return _converged_1d(partial(lattice.assemble_Hkappa, kappa), M0, count)
 
 
 @dataclass(frozen=True)
@@ -281,15 +288,6 @@ def _box_start_halfwidth(V: Potential, params: ScalingParams, count: int) -> int
     )
 
 
-def _levels_HN_1d(V: Potential, params: ScalingParams, count: int) -> SpectrumResult:
-    M0 = _box_start_halfwidth(V, params, count)
-
-    def assemble(M: int) -> SymmetricLatticeOperator:
-        return lattice.assemble_HN(V, params, LatticeBox.centered(1, M))
-
-    return eigensolve.converged_spectrum(assemble, M0, count)
-
-
 def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
     """Low-lying levels of the scaled operator.
 
@@ -299,12 +297,14 @@ def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
     Lanczos with an inertia-count index certificate), still without box
     doubling and capped at 4096 points.
     """
+    def levels_1d(V1: Potential) -> np.ndarray:
+        M0 = _box_start_halfwidth(V1, params, count)
+        return _converged_1d(partial(lattice.assemble_HN, V1, params), M0, count).values
+
     if V.dimension == 1:
-        return _levels_HN_1d(V, params, count).values
+        return levels_1d(V)
     if V.separable and V.axis_potentials is not None:
-        axis_vals = [
-            _levels_HN_1d(Vj, params, count).values for Vj in V.axis_potentials
-        ]
+        axis_vals = [levels_1d(Vj) for Vj in V.axis_potentials]
         # the kinetic diagonal enters once per axis, so plain sums are exact
         return eigensolve.eigs_separable(axis_vals, count)
     M0 = _box_start_halfwidth(V, params, count)
@@ -405,36 +405,22 @@ class RegimeSweep:
 GAMMA_BELOW_CAP = 64  # prescaled studies blow past float range for huge N
 
 
-def _prescaled_below_minus_one(
-    omega: float, gamma: float, N: int, count: int
-) -> np.ndarray:
-    """Levels of ``H_N / N^(2|gamma|) = (N^(2-2|gamma|)/2) Delta + omega^2 x^2 / 2``."""
-    c = float(N) ** (2.0 - 2.0 * abs(gamma))
+def _quadratic_chain(
+    scale: float, hop: float, omega: float, box: LatticeBox
+) -> SymmetricLatticeOperator:
+    """``scale ((hop / 2) Delta + omega^2 x^2 / 2)`` on a 1-d box.
 
-    def assemble(M: int) -> SymmetricLatticeOperator:
-        x = LatticeBox.centered(1, M).coords().astype(float)
-        return SymmetricLatticeOperator(
-            box=LatticeBox.centered(1, M),
-            diagonal=c + 0.5 * omega**2 * x * x,
-            coupling=0.5 * c,
-        )
-
-    M0 = max(16, 4 * count)
-    return eigensolve.converged_spectrum(assemble, M0, count).values
-
-
-def _direct_minus_one(omega: float, N: int, count: int) -> np.ndarray:
-    """Unscaled levels at the kink, where ``H_N`` is an exact multiple of ``H_1``."""
-
-    def assemble(M: int) -> SymmetricLatticeOperator:
-        x = LatticeBox.centered(1, M).coords().astype(float)
-        return SymmetricLatticeOperator(
-            box=LatticeBox.centered(1, M),
-            diagonal=float(N) ** 2 * (1.0 + 0.5 * omega**2 * x * x),
-            coupling=0.5 * float(N) ** 2,
-        )
-
-    return eigensolve.converged_spectrum(assemble, max(16, 4 * count), count).values
+    Below the kink ``scale = 1`` and ``hop = N^(2 - 2|gamma|)`` give the
+    prescaled ``H_N / N^(2|gamma|)``; at the kink ``scale = N^2`` and
+    ``hop = 1`` give ``H_N = N^2 H_1`` itself.  Multiplying by 1 is exact,
+    so each case keeps the rounding of its own formula.
+    """
+    x = box.coords().astype(float)
+    return SymmetricLatticeOperator(
+        box=box,
+        diagonal=scale * (hop + 0.5 * omega**2 * x * x),
+        coupling=0.5 * scale * hop,
+    )
 
 
 def _fit_tail_slope(Ns: Sequence[int], Es: Sequence[float]) -> float:
@@ -458,10 +444,18 @@ def regime_sweep(
     so the exact ``N^2`` ratio is observable; below the kink the prescaled
     operator is solved and energies are reconstructed.
     """
+    if not omega > 0:
+        raise ValueError(f"the regime sweep needs omega > 0, got omega={omega}")
     Ns_all = sorted(int(N) for N in N_list)
     if len(Ns_all) < 3:
         raise ValueError("need at least 3 values of N (a decade of span fits best)")
     count = n_max + 1
+    M0 = max(16, 4 * count)
+
+    def chain_levels(scale: float, hop: float) -> np.ndarray:
+        assemble = partial(_quadratic_chain, scale, hop, omega)
+        return _converged_1d(assemble, M0, count).values
+
     rows: list[RegimeRow] = []
     energies: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     minus_one_dev = None
@@ -481,7 +475,7 @@ def regime_sweep(
             fitted_consts = table[-1] / float(Ns[-1]) ** (1.0 - gamma)
         elif gamma == -1.0:
             Ns = Ns_all
-            table = np.array([_direct_minus_one(omega, N, count) for N in Ns])
+            table = np.array([chain_levels(float(N) ** 2, 1.0) for N in Ns])
             scaled = table / (np.asarray(Ns, dtype=float) ** 2)[:, None]
             minus_one_dev = float(
                 np.max(np.abs(scaled - scaled[0]) / np.abs(scaled[0]))
@@ -496,7 +490,7 @@ def regime_sweep(
                     f"for gamma={gamma}"
                 )
             pres = np.array(
-                [_prescaled_below_minus_one(omega, gamma, N, count) for N in Ns]
+                [chain_levels(1.0, float(N) ** (2.0 - 2.0 * abs(gamma))) for N in Ns]
             )
             table = pres * (np.asarray(Ns, dtype=float) ** (2.0 * abs(gamma)))[:, None]
             pred_consts = np.array(

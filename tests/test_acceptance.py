@@ -42,6 +42,7 @@ from lsc.semiclassics import (
     regime_sweep,
     sigma_enumerate,
 )
+from spectral_checks import multiplicity_clusters
 
 KAPPA_GRID = (0.2, 0.1, 0.05, 0.025)
 
@@ -196,7 +197,7 @@ def test_criterion_08_nodal_and_parity_structure():
         op = assemble_Hkappa(kappa, box)
         res = eigenpairs(op, 7)
         cluster_cap = max(
-            cluster_cap, max(len(c) for c in res.multiplicity_clusters())
+            cluster_cap, max(len(c) for c in multiplicity_clusters(res.values))
         )
         for n in range(7):
             v = res.vectors[:, n]

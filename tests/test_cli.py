@@ -288,6 +288,20 @@ class TestExitCodes:
         assert summary["pass"] is True
         assert summary["measured_constants"]["zero_count"] == 2
 
+    @pytest.mark.parametrize("command", ["quasimode", "spectrum"])
+    def test_zero_kappa_is_config_error(self, tmp_path, capsys, command):
+        code = run([command, "--kappa", "0"], tmp_path, out="k.csv")
+        assert code == cli.EXIT_CONFIG
+        assert "invalid configuration: kappa must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", ["0", "-1"])
+    def test_nonpositive_regimes_omega_is_config_error(self, tmp_path, capsys, omega):
+        # rejected before any solve, so no box doubling runs and no CSV is written
+        code = run(["regimes", f"--omega={omega}"], tmp_path, out="r.csv")
+        assert code == cli.EXIT_CONFIG
+        assert "needs omega > 0" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_out_of_memory_is_solver_error(self, tmp_path, monkeypatch, capsys):
         def too_big(cfg):
             raise MemoryError("dense assembly refused for size 9000")

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from lsc.errors import BoxTooSmall
 from lsc.hermite import (
-    HermiteBasis,
-    TestFunction,
     box_halfwidth,
     gram_entry,
     hermite_eval,
@@ -139,39 +137,30 @@ class TestZeros:
         ref = np.polynomial.hermite.hermgauss(n)[0]
         np.testing.assert_allclose(hermite_zeros(n), ref, atol=2e-15)
 
-    def test_basis_build(self):
-        basis = HermiteBasis.build(6)
-        assert len(basis.zeros) == 7
-        assert basis.zeros[0].size == 0
-        np.testing.assert_allclose(basis.zeros[2], hermite_zeros(2))
-
 
 class TestTestFunction:
+    """The lattice test functions ``x -> Psi_n(beta kappa x)`` of the
+    interval construction, sampled with :func:`weighted_eval`."""
+
     def test_vanishes_at_scaled_zeros(self):
         for n in (2, 3, 5):
-            psi = TestFunction(degree=n, kappa=1.0)
             z = hermite_zeros(n)
-            scale = np.abs(psi(np.linspace(-4, 4, 41))).max()
-            assert np.all(np.abs(psi(z)) <= 1e-12 * scale)
+            scale = np.abs(weighted_eval(n, np.linspace(-4, 4, 41))).max()
+            assert np.all(np.abs(weighted_eval(n, z)) <= 1e-12 * scale)
 
     def test_superexponential_decay_bound(self):
         for n, kappa in ((0, 0.2), (3, 0.1), (5, 0.05)):
-            psi = TestFunction(degree=n, kappa=kappa, stretch=1.25)
             edge = (math.sqrt(2 * n + 1) + 6.0) / (1.25 * kappa)
             for x in (edge, 1.5 * edge, 2.5 * edge):
                 y = 1.25 * kappa * x
-                assert abs(psi(x)) <= math.exp(-y * y / 4.0)
+                assert abs(weighted_eval(n, y)) <= math.exp(-y * y / 4.0)
 
-    def test_absolute_variant(self):
-        psi = TestFunction(degree=1, kappa=0.3, absolute=True)
-        xs = np.arange(-10, 11)
-        assert np.all(psi(xs) >= 0.0)
 
-    def test_center_shift(self):
-        plain = TestFunction(degree=2, kappa=0.2)
-        moved = TestFunction(degree=2, kappa=0.2, center=5)
-        xs = np.arange(-20, 21)
-        np.testing.assert_allclose(moved(xs + 5), plain(xs), rtol=1e-15)
+class TestBoxHalfwidth:
+    @pytest.mark.parametrize("kappa", [0.0, -0.1, math.nan])
+    def test_rejects_nonpositive_kappa(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            box_halfwidth(2, kappa)
 
 
 class TestQuasimode:
