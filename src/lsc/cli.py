@@ -153,44 +153,42 @@ class RunConfig:
             raise ValueError("gamma grid must be finite")
         if self.delta_spike is not None and not 0.0 < self.delta_spike < 0.5:
             raise ValueError("delta_spike must lie in (0, 0.5)")
+        if self.k is not None and self.k < 1:
+            raise ValueError(f"k must be at least 1, got k={self.k}")
+        if self.nmax is not None and self.nmax < 0:
+            raise ValueError(f"nmax must be nonnegative, got nmax={self.nmax}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser for every subcommand: a positional command and the shared flags."""
+    p = argparse.ArgumentParser(
         prog="lsc",
         description="Spectra of lattice Schrodinger operators under coupled "
         "mesh / semiclassical scaling",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--potential", help="harmonic|double_well|double_well_2d|two_well|free")
-        p.add_argument("--omega", help="comma list of well frequencies")
-        p.add_argument("--wells", help="comma list of well locations (two_well family)")
-        p.add_argument("--gamma", help="scaling exponent (comma list for regimes)")
-        p.add_argument("--N", dest="N", help="comma list of mesh counts")
-        p.add_argument("--kappa", help="comma list of reduced scales")
-        p.add_argument("--nmax", type=int, help="highest tracked level")
-        p.add_argument("--delta-spike", dest="delta_spike", type=float,
-                       help="spike exponent in (0, 0.5)")
-        p.add_argument("--delta-cut", dest="delta_cut", type=float,
-                       help="cube cutoff exponent in (0, (1-gamma)/2)")
-        p.add_argument("--epsilon", type=float, help="certificate margin")
-        p.add_argument("--count", type=int, help="number of enumerated values")
-        p.add_argument("--M", type=int, help="box half-width override")
-        p.add_argument("--k", type=int, help="number of eigenvalues")
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument("--json", dest="json_path", help="JSON summary path")
-        p.add_argument("--dump-matrix", dest="dump_matrix_path",
-                       help="triplet dump path")
-        p.add_argument("--scan-radius", dest="scan_radius", type=float)
-        p.add_argument("--grid-step", dest="grid_step", type=float)
-
-    for name in ("spectrum", "sigma", "converge", "kappa", "regimes",
-                 "quasimode", "intervals", "ims", "validate"):
-        common(sub.add_parser(name))
-    return parser
+    p.add_argument("command", choices=_COMMANDS)
+    p.add_argument("--config", help="key=value config file; flags override")
+    p.add_argument("--potential", help="harmonic|double_well|double_well_2d|two_well|free")
+    p.add_argument("--omega", help="comma list of well frequencies")
+    p.add_argument("--wells", help="comma list of well locations (two_well family)")
+    p.add_argument("--gamma", help="scaling exponent (comma list for regimes)")
+    p.add_argument("--N", dest="N", help="comma list of mesh counts")
+    p.add_argument("--kappa", help="comma list of reduced scales")
+    p.add_argument("--nmax", type=int, help="highest tracked level")
+    p.add_argument("--delta-spike", dest="delta_spike", type=float,
+                   help="spike exponent in (0, 0.5)")
+    p.add_argument("--delta-cut", dest="delta_cut", type=float,
+                   help="cube cutoff exponent in (0, (1-gamma)/2)")
+    p.add_argument("--epsilon", type=float, help="certificate margin")
+    p.add_argument("--count", type=int, help="number of enumerated values")
+    p.add_argument("--M", type=int, help="box half-width override")
+    p.add_argument("--k", type=int, help="number of eigenvalues")
+    p.add_argument("--out", help="CSV output path")
+    p.add_argument("--json", dest="json_path", help="JSON summary path")
+    p.add_argument("--dump-matrix", dest="dump_matrix_path", help="triplet dump path")
+    p.add_argument("--scan-radius", dest="scan_radius", type=float)
+    p.add_argument("--grid-step", dest="grid_step", type=float)
+    return p
 
 
 # every config key (flag destination) and its converter; other keys are rejected
@@ -280,7 +278,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.potential == "free":
         M = _default(cfg.M, 1)
         op = lattice.assemble_laplacian(LatticeBox.centered(1, M))
-        values = eigensolve.eigs_tridiag(op, min(k, op.size)).values
+        values = eigensolve.eigs_tridiag(op, k).values
     elif cfg.kappas:
         kappa = cfg.kappas[0]
         M = _default(cfg.M, hermite.box_halfwidth(k - 1, kappa))

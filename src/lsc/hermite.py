@@ -129,6 +129,8 @@ def box_halfwidth(n: int, kappa: float) -> int:
     """Half-width covering the quasimode: 8 Gaussian widths past the turning point."""
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
     return int(math.ceil((math.sqrt(2.0 * n + 1.0) + 8.0) / kappa))
 
 
@@ -209,16 +211,16 @@ def psi_fourth_derivative(n: int, y):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
-def _gl_panel(f, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-
 def _adaptive_gl(f, a: float, b: float, tol: float, depth: int = 0) -> float:
-    whole = _gl_panel(f, a, b)
+    """Adaptive 10-point Gauss-Legendre rule; one call of ``f`` serves a panel and its halves."""
     mid = 0.5 * (a + b)
-    split = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
+    panels = ((a, b), (a, mid), (mid, b))
+    halves = [0.5 * (hi - lo) for lo, hi in panels]
+    nodes = [0.5 * (lo + hi) + h * _GL_NODES for (lo, hi), h in zip(panels, halves)]
+    values = f(np.concatenate(nodes)).reshape(3, -1)
+    # each panel sums its own 10 values, as a separate call of f would
+    whole, left, right = (h * float(np.dot(_GL_WEIGHTS, v)) for h, v in zip(halves, values))
+    split = left + right
     if abs(split - whole) <= tol:
         return split
     if depth >= 20:
@@ -233,18 +235,19 @@ def residual_integral(n: int, kappa: float, x: int) -> float:
 
     Evaluates ``R(x, kappa) = int_0^kappa ((kappa - t)^3 / 3!) *
     [Psi_n^(4)(kappa x + t) + Psi_n^(4)(kappa x - t)] dt`` by adaptive
-    Gauss-Legendre quadrature.  This is the exact remainder of the
-    symmetric second-difference expansion, so ``-R`` reproduces the stencil
-    residual of :func:`quasimode_apply` to quadrature accuracy.
+    Gauss-Legendre quadrature; each step evaluates ``Psi_n^(4)`` once, at
+    both signs of ``t`` on the nodes of a panel and its two halves.  This
+    is the exact remainder of the symmetric second-difference expansion, so
+    ``-R`` reproduces the stencil residual of :func:`quasimode_apply` to
+    quadrature accuracy.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     y = kappa * float(x)
 
     def integrand(t):
-        return ((kappa - t) ** 3 / 6.0) * (
-            psi_fourth_derivative(n, y + t) + psi_fourth_derivative(n, y - t)
-        )
+        d4 = psi_fourth_derivative(n, np.concatenate((y + t, y - t))).reshape(2, -1)
+        return ((kappa - t) ** 3 / 6.0) * (d4[0] + d4[1])
 
     scale = kappa**4 * max(1.0, abs(psi_fourth_derivative(n, y)))
     return _adaptive_gl(integrand, 0.0, kappa, tol=1e-13 * scale + 1e-30)
@@ -262,12 +265,14 @@ def gram_entry(n: int, m: int, kappa: float, box: LatticeBox) -> float:
         raise ValueError("gram sums are one-dimensional")
     xs = box.coords().astype(float)
     pn = weighted_eval(n, kappa * xs)
-    pm = weighted_eval(m, kappa * xs)
+    pm = pn if m == n else weighted_eval(m, kappa * xs)
     # fsum gives the correctly rounded sum, so odd pairs on a symmetric box
     # cancel to exactly zero
     result = math.fsum(pn * pm)
     edge = max(abs(box.lo[0]), abs(box.hi[0])) + 1
-    tail = math.sqrt(tail_mass(n, kappa, edge) * tail_mass(m, kappa, edge))
+    tail_n = tail_mass(n, kappa, edge)
+    tail_m = tail_n if m == n else tail_mass(m, kappa, edge)
+    tail = math.sqrt(tail_n * tail_m)
     scale = math.sqrt(float(np.dot(pn, pn)) * float(np.dot(pm, pm)))
     if tail > 1e-14 * scale:
         raise BoxTooSmall(f"gram tail {tail:.2e} above 1e-14 of scale {scale:.2e}")

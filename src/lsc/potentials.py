@@ -255,6 +255,8 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
     max_well = max((float(np.abs(w.location).max()) for w in V.wells), default=0.0)
     if scan_radius <= max_well + 1.0:
         raise ValueError("scan_radius must exceed max well coordinate + 1")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid_step must be positive and finite, got grid_step={grid_step}")
     pts = _scan_grid(V.dimension, scan_radius, grid_step)
     vals = eval_potential(V, pts)
 

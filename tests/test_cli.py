@@ -107,6 +107,13 @@ class TestSpectrumCommand:
         want = [2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)]
         np.testing.assert_allclose(values, want, rtol=1e-12)
 
+    def test_free_k_above_box_size_is_config_error(self, tmp_path, capsys):
+        code = run(["spectrum", "--potential", "free", "--M", "1", "--k", "5"],
+                   tmp_path, out="spec.csv")
+        assert code == cli.EXIT_CONFIG
+        assert "k=5 out of range for size 3" in capsys.readouterr().err
+        assert not (tmp_path / "spec.csv").exists()
+
     def test_seventeen_digit_serialization(self, tmp_path):
         run(["spectrum", "--potential", "free", "--M", "1", "--k", "1"],
             tmp_path, out="spec.csv")
@@ -294,6 +301,24 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "invalid configuration: kappa must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step", ["0", "-1", "nan"])
+    def test_bad_grid_step_is_config_error(self, tmp_path, capsys, step):
+        code = run(["validate", "--potential", "double_well", f"--grid-step={step}"],
+                   tmp_path, out="v.csv")
+        assert code == cli.EXIT_CONFIG
+        assert "grid_step must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["spectrum", "--k", "0"], "k=0"),
+        (["spectrum", "--kappa", "0.1", "--k", "0"], "k=0"),
+        (["quasimode", "--nmax=-1"], "nmax=-1"),
+        (["kappa", "--nmax=-1"], "nmax=-1"),
+    ], ids=["spectrum", "spectrum-kappa", "quasimode", "kappa"])
+    def test_negative_degree_names_the_flag(self, tmp_path, capsys, argv, flag):
+        assert run(argv, tmp_path, out="d.csv") == cli.EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("omega", ["0", "-1"])
     def test_nonpositive_regimes_omega_is_config_error(self, tmp_path, capsys, omega):
         # rejected before any solve, so no box doubling runs and no CSV is written
@@ -399,3 +424,114 @@ class TestImsCommand:
         summary = json.loads((tmp_path / "ims.json").read_text())
         assert summary["pass"] is True
         assert summary["measured_constants"]["identity_residual"] <= 1e-12
+
+
+# every flag with a value, and the RunConfig field it fills
+FLAG_FIELDS = [
+    ("--potential", "two_well", "potential", "two_well"),
+    ("--omega", "1,2", "omega", [1.0, 2.0]),
+    ("--wells=-1.5,1.5", None, "wells", [-1.5, 1.5]),
+    ("--gamma=-1,0.5", None, "gammas", [-1.0, 0.5]),
+    ("--N", "8,16", "Ns", [8, 16]),
+    ("--kappa", "0.2,0.1", "kappas", [0.2, 0.1]),
+    ("--nmax", "3", "nmax", 3),
+    ("--delta-spike", "0.25", "delta_spike", 0.25),
+    ("--delta-cut", "0.2", "delta_cut", 0.2),
+    ("--epsilon", "0.1", "epsilon", 0.1),
+    ("--count", "9", "count", 9),
+    ("--M", "5", "M", 5),
+    ("--k", "4", "k", 4),
+    ("--out", "o.csv", "out", "o.csv"),
+    ("--json", "s.json", "json_path", "s.json"),
+    ("--dump-matrix", "m.txt", "dump_matrix_path", "m.txt"),
+    ("--scan-radius", "6", "scan_radius", 6.0),
+    ("--grid-step", "0.02", "grid_step", 0.02),
+]
+
+
+class TestParseContract:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_command_takes_every_flag(self, tmp_path, command):
+        config = tmp_path / "run.cfg"
+        config.write_text("count = 3\nepsilon = 0.3\n")
+        argv = [command, "--config", str(config)]
+        for flag, value, _, _ in FLAG_FIELDS:
+            argv += [flag] if value is None else [flag, value]
+        got = cli.build_config(cli.build_parser().parse_args(argv))
+        want = cli.RunConfig(command=command, **{f: v for _, _, f, v in FLAG_FIELDS})
+        assert got == want  # the flags override both config entries
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], [], ["sigma", "--bogus", "1"]],
+                             ids=["unknown-command", "missing-command", "unknown-flag"])
+    def test_bad_command_line_exits_2(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv, tmp_path)
+        assert exc.value.code == 2
+
+
+# SHA-256 of the CSV and the JSON summary written by the README examples and
+# the benchmark's quasimode run, with relative output paths (the JSON holds
+# the CSV path); recorded before the single-parser CLI and the one-call
+# quadrature, which must leave every byte as it was
+README_GOLDEN = {
+    "sigma": (
+        "sigma --potential harmonic --omega 1 --count 4",
+        "1a71a21a616150ad3a0dc5f845ad17f1887181536a9803eda129f110b915eed4",
+        "7051ae6441393638d0cc90ed382b626c4a6955c99f01fcf0f14bd8904cade7fe",
+    ),
+    "spectrum": (
+        "spectrum --potential free --M 1 --k 3",
+        "119a5f73c25a744e6313a2baaf9308d6b26764c7bb47d7615d1ba0dc2523c9ae",
+        "56a200715e1050a915aff10bde5379f727c650ee4bf0128962c8d3befff315a8",
+    ),
+    "kappa": (
+        "kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5",
+        "389e5108732ee5a7d77edae6caabeafed2aa62469f80d4771c4b0a6698d89e37",
+        "2f689420664ec194ba4642385bd3e8beb86d2243e2d17df55d70f3079d5880f5",
+    ),
+    "converge": (
+        "converge --potential double_well --gamma 0 --N 128,256,512,1024 --nmax 1",
+        "745fc74de27b9f44e46cc461b0db9e621998584e364251255abf0f7fd73a327f",
+        "19c2877158fd0d70875513e0321ff9bfc676dc9497c89b89e39e08aa4f1d5187",
+    ),
+    "regimes": (
+        "regimes --gamma=-1 --N 2,4,8 --nmax 2",
+        "44abd6002c53a5a51b78777bf168e9df64e37e8537e371f760d4327d2a5506d9",
+        "feb2c1eaafbc53d0802984ed13b07807319a3258363ba25af753c4705195dc74",
+    ),
+    "quasimode": (
+        "quasimode --kappa 0.2,0.1 --nmax 3",
+        "0910cdd9b73459253c359b98bb5d6fa8ede1dcfdbe2e1413735bab44fce2ed0b",
+        "dd9e0f155268b6e5d3fb43b1c771239d1d41c958afcb1be3b1b18c25101a695d",
+    ),
+    "intervals": (
+        "intervals --nmax 2 --kappa 0.05 --delta-spike 0.25 --epsilon 0.1",
+        "24d33cef2a8242f75cfd0eefa7a5de45d51a3b94af125a6b623bcf82f691793b",
+        "11050f4c0b07031978c77514af09d9851cdd94b40af3707604209e753de3d56a",
+    ),
+    "ims": (
+        "ims --potential double_well --N 256 --gamma 0 --delta-cut 0.2",
+        "d644690d2b8a66158b02c45e59dfa9c79c7bd97a07b0a1234ac76e8caf86b431",
+        "544d5bb96908589dbd72e8471ab9234ac100dfc503aceacc88efe29b42a976d3",
+    ),
+    "validate": (
+        "validate --potential double_well --grid-step 0.02",
+        "a828bbc0c70b56da5c555435eb7fcc328b3ddb839f2102db3918546d4eb30eff",
+        "9743937294d5b720f038e71edff0f090db1457b9643bf7414f9847fb0efbf1f8",
+    ),
+    "quasimode_bench": (
+        "quasimode --kappa 0.2,0.1,0.05 --nmax 5",
+        "e87d3f20a8571c067db32a1d85d5961ec10dafda8f0109d57cbbf81c5b4ffa95",
+        "846b58f0594023500e458fea9ed76b8d190640ea8ad925a86409bbd457eac785",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(README_GOLDEN))
+def test_readme_example_bytes(tmp_path, monkeypatch, name):
+    args, csv_digest, json_digest = README_GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(args.split() + ["--out", f"{name}.csv", "--json", f"{name}.json"])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest() == json_digest

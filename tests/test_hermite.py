@@ -162,6 +162,10 @@ class TestBoxHalfwidth:
         with pytest.raises(ValueError, match="kappa must be positive"):
             box_halfwidth(2, kappa)
 
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            box_halfwidth(-1, 0.1)
+
 
 class TestQuasimode:
     def test_center_stencil_identity(self):
@@ -250,7 +254,47 @@ class TestResidualIntegral:
                 )
 
 
+def reference_residual_integral(n, kappa, x, splits):
+    """Per-panel adaptive Gauss-Legendre: one integrand call per panel, one
+    ``psi_fourth_derivative`` call per sign of ``t``.  Appends the depth of
+    every panel that does not settle to ``splits``."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    y = kappa * float(x)
+
+    def f(t):
+        return ((kappa - t) ** 3 / 6.0) * (
+            psi_fourth_derivative(n, y + t) + psi_fourth_derivative(n, y - t)
+        )
+
+    def panel(a, b):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        return half * float(np.dot(weights, f(mid + half * nodes)))
+
+    def adaptive(a, b, tol, depth=0):
+        whole = panel(a, b)
+        mid = 0.5 * (a + b)
+        split = panel(a, mid) + panel(mid, b)
+        if abs(split - whole) <= tol:
+            return split
+        splits.append(depth)
+        return adaptive(a, mid, 0.5 * tol, depth + 1) + adaptive(mid, b, 0.5 * tol, depth + 1)
+
+    scale = kappa**4 * max(1.0, abs(psi_fourth_derivative(n, y)))
+    return adaptive(0.0, kappa, 1e-13 * scale + 1e-30)
+
+
 class TestAdaptiveQuadrature:
+    def test_bit_identical_to_per_panel_recursion(self):
+        splits = []
+        for kappa in (0.025, 0.05, 0.1, 0.2, 0.5, 1.0, 1.5, 2.0):
+            for n in range(9):
+                for x in (-7, -3, 0, 1, 2, 5, 11, 40):
+                    want = reference_residual_integral(n, kappa, x, splits)
+                    assert residual_integral(n, kappa, x) == want, (n, kappa, x)
+        # some cases split the first panel, so the recursion is compared too
+        assert splits
+
     def test_depth_cap_raises(self):
         from lsc.errors import QuadratureFailure
         from lsc.hermite import _adaptive_gl
