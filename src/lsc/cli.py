@@ -14,12 +14,12 @@ example a negative certificate or a broken cover identity).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 
 import numpy as np
@@ -45,27 +45,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# a column whose cells all have one of these exact types is formatted with
-# one ``map`` call; any other column goes through ``_fmt`` cell by cell
-_COLUMN_FORMATS = {float: "{:.17g}".format, int: str, str: str}
+_NUMBER_FORMATS = {float: "{:.17g}".format, int: str}
+_CSV_SPECIALS = (",", '"', "\r", "\n")
+_CSV_CHUNK_LINES = 4096  # lines joined per write, which bounds the text held at once
 
 
-def _fmt_column(column: list) -> map:
+def _fmt_column(column: list, lone: bool):
     kinds = set(map(type, column))
-    if len(kinds) == 1 and (kind := kinds.pop()) in _COLUMN_FORMATS:
-        return map(_COLUMN_FORMATS[kind], column)
-    return map(_fmt, column)
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _NUMBER_FORMATS:
+        return map(_NUMBER_FORMATS[kind], column)
+    cells = column if kind is str else list(map(_fmt, column))
+    if lone or any(map("".join(cells).__contains__, _CSV_SPECIALS)):
+        # a lone empty field is quoted too, so that its line is not blank
+        cells = ['"' + c.replace('"', '""') + '"' if (lone and not c)
+                 or any(ch in c for ch in _CSV_SPECIALS) else c for c in cells]
+    return cells
 
 
 def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    """Write ``header`` and equal-width ``rows``, each cell formatted as ``_fmt`` does."""
+    """Write ``header`` and equal-width ``rows`` byte for byte as ``csv.writer`` does.  A
+    column of plain floats or plain ints is formatted by one ``map``; any other is scanned
+    once and quoted as under ``csv.QUOTE_MINIMAL``.  Lines end in ``\\r\\n``."""
     # itemgetter per column rather than zip(*rows), which makes one iterator per row
     width = len(rows[0]) if rows else 0
-    columns = [_fmt_column(list(map(itemgetter(i), rows))) for i in range(width)]
+    columns = [_fmt_column(list(map(itemgetter(i), rows)), width == 1)
+               for i in range(width)]
+    lines = map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(",".join(_fmt_column(header, len(header) == 1)) + "\r\n")
+        while chunk := list(islice(lines, _CSV_CHUNK_LINES)):
+            fh.write("\r\n".join(chunk) + "\r\n")
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -74,15 +84,44 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _index_digits(n: int) -> np.ndarray:
+    """Decimal text of ``0 .. n - 1``, one row each, left-padded with NUL bytes."""
+    digits = np.empty((n, len(str(max(n - 1, 0)))), dtype=np.uint8)
+    rest = np.arange(n)
+    for power, col in enumerate(reversed(range(digits.shape[1]))):
+        rest, digit = np.divmod(rest, 10)
+        digits[:, col] = digit + ord("0")
+        digits[: 10**power if power else 0, col] = 0  # no digit here below 10**power
+    return digits
+
+
+def _distinct_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``{:.17g}`` text of each distinct float (bit pattern, so -0.0 and NaN keep
+    their text), each formatted once, and the index of every value's text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return [format(v, ".17g") for v in bits.view(np.float64).tolist()], inverse
+
+
+def _text_field(text: bytes, rows: int) -> np.ndarray:
+    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
+
+
 def dump_matrix(path: str, op) -> None:
-    """Coordinate-triplet text dump (row, col, value) of an assembled operator."""
+    """Coordinate-triplet text dump (row, col, value) of an assembled operator.  Each
+    distinct diagonal float is formatted once; lines are laid out as NUL-padded byte
+    rows (no field holds a NUL) and the padding is dropped in one pass."""
     i, j = op.box.neighbor_index_pairs()
-    c = _fmt(-float(op.coupling))
-    with open(path, "w") as fh:
-        fh.write("".join(map("{0} {0} {1:.17g}\n".format, range(op.size),
-                             op.diagonal.tolist())))
-        fh.write("".join(map(f"{{0}} {{1}} {c}\n{{1}} {{0}} {c}\n".format,
-                             i.tolist(), j.tolist())))
+    digits = _index_digits(op.size)
+    texts, inverse = _distinct_texts(op.diagonal)
+    values = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
+    space, newline = _text_field(b" ", op.size), _text_field(b"\n", op.size)
+    pair_space = _text_field(b" ", i.size)
+    entry = _text_field(f" {_fmt(-float(op.coupling))}\n".encode(), i.size)
+    with open(path, "wb") as fh:
+        for block in (np.hstack([digits, space, digits, space, values[inverse], newline]),
+                      np.hstack([digits[i], pair_space, digits[j], entry,
+                                 digits[j], pair_space, digits[i], entry])):
+            fh.write(block[block != 0].tobytes())
 
 
 def _parse_config_file(path: str) -> dict:
@@ -157,6 +196,8 @@ class RunConfig:
             raise ValueError(f"k must be at least 1, got k={self.k}")
         if self.nmax is not None and self.nmax < 0:
             raise ValueError(f"nmax must be nonnegative, got nmax={self.nmax}")
+        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got epsilon={self.epsilon}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,10 +349,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_sigma(cfg: RunConfig) -> int:
     V = _resolve_potential(cfg)
     seq = semiclassics.sigma_enumerate(V, _default(cfg.count, 8))
-    multi_index = "+".join(["{}"] * V.dimension).format
-    wells = [well for well, _ in seq.provenance]
-    multis = [multi_index(*multi) for _, multi in seq.provenance]
-    rows = list(zip(range(len(seq)), seq.values.tolist(), wells, multis))
+    names = list(map(str, range(int(seq.multi.max()) + 1)))  # one str per index value
+    multis = map("+".join, zip(*(map(names.__getitem__, m) for m in seq.multi.T.tolist())))
+    texts, inverse = _distinct_texts(seq.values)
+    values = map(texts.__getitem__, inverse.tolist())
+    rows = list(zip(range(len(seq)), values, seq.wells.tolist(), multis))
     path = _csv_path(cfg, "sigma.csv")
     write_csv(path, ["n", "e_n", "well", "multi_index"], rows)
     _summary(cfg, "sigma", True, {}, path)

@@ -252,6 +252,8 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
     positivity floor between ``R0`` and the scan radius.  Smoothness is not
     numerically checkable and is reported as assumed.
     """
+    if not math.isfinite(scan_radius):
+        raise ValueError(f"scan_radius must be finite, got scan_radius={scan_radius}")
     max_well = max((float(np.abs(w.location).max()) for w in V.wells), default=0.0)
     if scan_radius <= max_well + 1.0:
         raise ValueError("scan_radius must exceed max well coordinate + 1")

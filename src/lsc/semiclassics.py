@@ -62,14 +62,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SigmaSequence:
-    """Enumerated limit spectrum with per-value provenance."""
+    """Limit spectrum: ``values[i]`` is the level of ``multi[i]`` in well ``wells[i]``."""
 
     potential_name: str
     values: np.ndarray
-    provenance: tuple[tuple[int, tuple[int, ...]], ...]  # (well index, multi-index)
+    wells: np.ndarray  # int, shape (count,)
+    multi: np.ndarray  # int, shape (count, d)
 
     def __len__(self) -> int:
         return self.values.size
+
+    @property
+    def provenance(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``(well index, multi-index)`` per value as Python ints, derived from the arrays."""
+        return tuple(zip(self.wells.tolist(), map(tuple, self.multi.tolist())))
 
 
 def _volume_level(frequencies: list[np.ndarray], count: int) -> float:
@@ -143,11 +149,11 @@ def sigma_enumerate(V: Potential, count: int) -> SigmaSequence:
     values = np.concatenate([v for v, _ in states])
     order = np.argsort(values, kind="stable")[:count]
     wells = np.repeat(np.arange(len(states)), [v.size for v, _ in states])
-    multi = np.concatenate([m for _, m in states])[order]
     return SigmaSequence(
         potential_name=V.name,
         values=values[order],
-        provenance=tuple(zip(wells[order].tolist(), zip(*multi.T.tolist()))),
+        wells=wells[order],
+        multi=np.concatenate([m for _, m in states])[order],
     )
 
 
@@ -578,10 +584,13 @@ def interval_lowerbound_experiment(
     use the spiked modification with the capped certificate.  Each piece
     reports its restricted ground energy over ``kappa^2`` and the pointwise
     slack of ``(H + alpha) u >= 0`` at ``alpha = -(1 - epsilon) kappa^2
-    (2n + 1)``.
+    (2n + 1)``.  ``epsilon`` lies in (0, 1]; at 1 the threshold is 0 and the
+    certificate checks plain nonnegativity.
     """
     if n < 1:
         raise ValueError("the nodal interval construction needs degree n >= 1")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1], got epsilon={epsilon}")
     dec = lattice.build_interval_decomposition(n, kappa)
     mod = ModifiedPotentialParams(kappa=kappa, delta=delta)
     if mod.x_delta < int(dec.a[-1]):

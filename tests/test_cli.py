@@ -8,13 +8,16 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsc import cli
-from lsc.lattice import LatticeBox, SymmetricLatticeOperator, assemble_HN
+from lsc.lattice import LatticeBox, SymmetricLatticeOperator, assemble_HN, assemble_Hkappa
 from lsc.potentials import (
     Potential,
     ScalingParams,
     double_well,
+    double_well_nd,
     harmonic,
     register_potential,
 )
@@ -73,6 +76,41 @@ def fmt_reference(value):
     return str(value)
 
 
+def csv_reference_bytes(path, header, rows):
+    """Bytes of ``csv.writer`` over the header and the ``fmt_reference`` cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_reference(v) for v in row])
+    return path.read_bytes()
+
+
+CSV_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from(list(',"\r\n\x00 aé€')),
+                       st.characters(blacklist_categories=("Cs",))),
+    max_size=6,
+)
+CSV_NUMBER = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]),
+    st.integers(-10**6, 10**6), st.sampled_from([2**70, -(2**70)]),
+)
+CSV_CELL = st.one_of(CSV_TEXT, CSV_NUMBER, st.booleans())
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and equal-width rows; each column draws from one cell strategy,
+    so columns of one number type, of text and of mixed cells all occur."""
+    width = draw(st.integers(1, 4))
+    kinds = [draw(st.sampled_from([st.floats(), st.integers(-10**6, 10**6), CSV_TEXT,
+                                   st.booleans(), CSV_CELL]))
+             for _ in range(width)]
+    rows = draw(st.lists(st.tuples(*kinds), max_size=12))
+    header = draw(st.lists(CSV_TEXT, min_size=width, max_size=width))
+    return header, rows
+
+
 class TestWriteCsv:
     @pytest.mark.parametrize("rows", [
         [(True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1.0 / 3.0),
@@ -83,16 +121,57 @@ class TestWriteCsv:
         [(1, 2.5, "x", True), (np.int64(2), np.float64(1e-300), 'q"uote', False),
          (3.0, 7, np.bool_(True), math.inf), (False, "a,b", 0.0, np.int32(5))],
         [],
-    ], ids=["mixed-row", "uniform", "mixed-columns", "empty"])
+        # a line whose only field is empty is quoted; two empty fields are not
+        [("",), ("a",), ("",)],
+        [("", ""), ("x", "")],
+        [(1,), (2.5,), ("",)],
+        [("\r", "\n"), ("\x00", "é")],
+        [(True,), (np.bool_(False),), (2**70,), (-0.0,), (math.nan,), (-math.inf,)],
+    ], ids=["mixed-row", "uniform", "mixed-columns", "empty", "lone-empty", "two-empty",
+            "lone-mixed", "specials", "lone-numbers"])
     def test_bytes_match_a_per_cell_writer(self, tmp_path, rows):
         header = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
         cli.write_csv(str(tmp_path / "new.csv"), header, rows)
-        with open(tmp_path / "ref.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([fmt_reference(v) for v in row])
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == csv_reference_bytes(
+            tmp_path / "ref.csv", header, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables())
+    def test_random_tables_match_csv_writer(self, tmp_path_factory, table):
+        header, rows = table
+        tmp = tmp_path_factory.mktemp("csv")
+        cli.write_csv(str(tmp / "new.csv"), header, rows)
+        assert (tmp / "new.csv").read_bytes() == csv_reference_bytes(
+            tmp / "ref.csv", header, rows)
+
+
+def dump_reference(path, op):
+    """Triplet dump of the per-line writer: one formatted line per entry."""
+    i, j = op.box.neighbor_index_pairs()
+    c = format(-float(op.coupling), ".17g")
+    with open(path, "w") as fh:
+        for n, d in enumerate(op.diagonal.tolist()):
+            fh.write(f"{n} {n} {d:.17g}\n")
+        for a, b in zip(i.tolist(), j.tolist()):
+            fh.write(f"{a} {b} {c}\n{b} {a} {c}\n")
+
+
+class TestDumpMatrix:
+    @pytest.mark.parametrize("make_op", [
+        lambda: assemble_Hkappa(0.0123, LatticeBox.centered(1, 50_000)),
+        lambda: assemble_HN(double_well_nd(2), ScalingParams(N=8, gamma=0.0, omega=1.0),
+                            LatticeBox.centered(2, 12)),
+        lambda: SymmetricLatticeOperator(
+            box=LatticeBox(lo=(0, 0), hi=(3, 2)),
+            diagonal=[0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                      2.2250738585072014e-308 / 3, 1e300, -1.0 / 3.0, 0.0, math.nan],
+            coupling=0.0),
+    ], ids=["hkappa-M50000", "double_well_2d", "special-values"])
+    def test_bytes_match_a_per_line_writer(self, tmp_path, make_op):
+        op = make_op()
+        cli.dump_matrix(str(tmp_path / "new.txt"), op)
+        dump_reference(tmp_path / "ref.txt", op)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
 
 class TestSpectrumCommand:
@@ -307,6 +386,25 @@ class TestExitCodes:
                    tmp_path, out="v.csv")
         assert code == cli.EXIT_CONFIG
         assert "grid_step must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_nonfinite_scan_radius_is_config_error(self, tmp_path, capsys, radius):
+        code = run(["validate", "--potential", "double_well", "--scan-radius", radius],
+                   tmp_path, out="v.csv")
+        assert code == cli.EXIT_CONFIG
+        assert f"scan_radius must be finite, got scan_radius={radius}" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize("epsilon", ["2", "0", "-0.5", "nan"])
+    def test_epsilon_outside_unit_interval_is_config_error(self, tmp_path, capsys,
+                                                            epsilon):
+        code = run(["intervals", f"--epsilon={epsilon}", "--nmax", "1"], tmp_path,
+                   out="i.csv", json="i.json")
+        assert code == cli.EXIT_CONFIG
+        want = f"epsilon must lie in (0, 1), got epsilon={float(epsilon)}"
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "i.csv").exists()
 
     @pytest.mark.parametrize("argv,flag", [
         (["spectrum", "--k", "0"], "k=0"),
@@ -525,6 +623,34 @@ README_GOLDEN = {
         "846b58f0594023500e458fea9ed76b8d190640ea8ad925a86409bbd457eac785",
     ),
 }
+
+
+# SHA-256 of the triplet dump, the CSV and the JSON summary of each run
+DUMP_GOLDEN = {
+    "double_well": (
+        "spectrum --potential double_well --M 40",
+        "e83d2b6213218dde0c5942619863f8c32a64cd5fcc9f9d41dbb19a2f5b198214",
+        "8c9d2806c0119ba835e1eedd3665a6215e3fd23e2605eedf0eb8d1c5570d5ae5",
+        "80a766841df7330f059fecc97a28dabe5821cfff84bc4ce851e195dfc5ed9df8",
+    ),
+    "double_well_2d": (
+        "spectrum --potential double_well_2d --M 10 --k 3",
+        "9bae1b954e8561beb2f2e3c4673b53b1d1ae04802a1601151f7e93df899b9e1d",
+        "6022decf67c946918e071bb283072fcccec9a6ba83b88da34f0cadb8a7f24fe0",
+        "c9e501bdb51ae7d484ab9132a01cb81a1c7f684408b0702c26cf0171f00407c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DUMP_GOLDEN))
+def test_matrix_dump_bytes(tmp_path, monkeypatch, name):
+    args, txt_digest, csv_digest, json_digest = DUMP_GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(args.split() + ["--dump-matrix", f"{name}.txt", "--out",
+                                    f"{name}.csv", "--json", f"{name}.json"])
+    assert code == cli.EXIT_OK
+    for ext, digest in (("txt", txt_digest), ("csv", csv_digest), ("json", json_digest)):
+        assert hashlib.sha256((tmp_path / f"{name}.{ext}").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", list(README_GOLDEN))

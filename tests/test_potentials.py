@@ -206,6 +206,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_assumptions(double_well(), 1.5, 0.01)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_scan_radius_must_be_finite(self, radius):
+        with pytest.raises(ValueError, match="scan_radius must be finite"):
+            validate_assumptions(double_well(), radius, 0.01)
+
 
 class TestScalingParams:
     @pytest.mark.parametrize("N,gamma,omega", [(16, 0.0, 1.0), (1024, 0.5, 2.0), (7, -0.75, 0.3)])

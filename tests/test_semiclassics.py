@@ -188,6 +188,10 @@ class TestSigmaAgainstHeap:
         values, provenance = sigma_heap_reference(V, count)
         assert seq.values.dtype == np.float64
         assert np.array_equal(seq.values, values)
+        assert seq.wells.shape == (count,) and seq.wells.dtype.kind == "i"
+        assert seq.multi.shape == (count, V.dimension) and seq.multi.dtype.kind == "i"
+        # the tuple the enumeration built before provenance became a derived view
+        assert seq.provenance == tuple(zip(seq.wells.tolist(), zip(*seq.multi.T.tolist())))
         assert seq.provenance == provenance
         assert all(type(l) is int and all(type(m) is int for m in multi)
                    for l, multi in seq.provenance)
@@ -364,6 +368,11 @@ class TestIntervalExperiment:
         assert report.all_certificates_ok
         assert report.min_ratio >= report.threshold
         assert report.threshold == pytest.approx(2.7)
+
+    @pytest.mark.parametrize("epsilon", [2.0, 1.5, 0.0, -0.5, math.nan])
+    def test_epsilon_outside_half_open_unit_interval(self, epsilon):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\]"):
+            interval_lowerbound_experiment(1, 0.05, 0.25, epsilon=epsilon)
 
     def test_epsilon_one_trivial_certificate(self):
         # alpha = 0: the assembled rows are pointwise nonnegative on the
