@@ -315,7 +315,6 @@ def _summary(cfg: RunConfig, experiment: str, passed: bool, constants: dict,
 
 def cmd_spectrum(cfg: RunConfig) -> int:
     k = _default(cfg.k, 6)
-    op = None
     if cfg.potential == "free":
         M = _default(cfg.M, 1)
         op = lattice.assemble_laplacian(LatticeBox.centered(1, M))
@@ -336,9 +335,12 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             op = lattice.assemble_HN(V, params, LatticeBox.centered(V.dimension, cfg.M))
             solve = eigensolve.eigs_tridiag if V.dimension == 1 else eigensolve.eigs_sparse
             values = solve(op, k).values
+        elif cfg.dump_matrix_path:
+            raise ValueError("--dump-matrix needs --M: the box-doubling route "
+                             "builds no single matrix to dump")
         else:
             values = semiclassics.levels_HN(V, params, k)
-    if cfg.dump_matrix_path and op is not None:
+    if cfg.dump_matrix_path:
         dump_matrix(cfg.dump_matrix_path, op)
     path = _csv_path(cfg, "spectrum.csv")
     write_csv(path, ["n", "E_n"], [(n, float(v)) for n, v in enumerate(values)])

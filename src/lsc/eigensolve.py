@@ -61,6 +61,7 @@ BOX_DOUBLING_RTOL = 1e-11
 MAX_DOUBLINGS = 14
 NODAL_ZERO_RTOL = 1e-9  # entries below this fraction of the sup norm count as zeros
 SYMMETRY_RTOL = 1e-8
+_STEBZ_TOL = 2 * np.finfo(float).tiny  # LAPACK's most accurate absolute tolerance
 
 
 def _as_tridiagonal(op) -> tuple[np.ndarray, np.ndarray]:
@@ -104,18 +105,27 @@ def eigs_tridiag(op, k: int) -> SpectrumResult:
 
     The absolute tolerance ``2 * tiny`` is LAPACK's most accurate setting;
     the default ``tol=0`` (``eps * |H|``) loses digits on levels far below
-    ``|H|``.
+    ``|H|``.  ``dstebz`` is called directly; the values and the checks are
+    those of ``scipy.linalg.eigvalsh_tridiagonal(..., lapack_driver="stebz")``
+    without its per-call overhead: NaN or inf entries and a LAPACK argument
+    error (``info < 0``) raise ``ValueError``, a bisection failure
+    (``info > 0``) raises :class:`ConvergenceFailure`.
     """
     diag, off = _as_tridiagonal(op)
     if not 1 <= k <= diag.size:
         raise ValueError(f"k={k} out of range for size {diag.size}")
-    try:
-        values = scipy.linalg.eigvalsh_tridiagonal(
-            diag, off, select="i", select_range=(0, k - 1),
-            lapack_driver="stebz", tol=2 * np.finfo(float).tiny,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if diag.size == 1:
+        values = diag.copy()
+    else:
+        m, values, _, _, info = scipy.linalg.lapack.dstebz(
+            diag, off, 2, 0.0, 1.0, 1, k, _STEBZ_TOL, "E")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of internal dstebz")
+        if info > 0:
+            raise ConvergenceFailure(f"dstebz did not converge (LAPACK info={info})")
+        values = values[:m]
     return SpectrumResult(values=values, box=getattr(op, "box", None))
 
 
@@ -296,7 +306,7 @@ def eigenpairs(op, k: int) -> SpectrumResult:
     try:
         values, vectors = scipy.linalg.eigh_tridiagonal(
             diag, off, select="i", select_range=(0, k - 1),
-            lapack_driver="stebz", tol=2 * np.finfo(float).tiny,
+            lapack_driver="stebz", tol=_STEBZ_TOL,
         )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc

@@ -17,6 +17,7 @@ remainders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,6 +28,7 @@ import scipy.sparse
 from . import eigensolve
 from .errors import (
     BoxTooSmall,
+    ConvergenceFailure,
     DegenerateDecomposition,
     OverlappingSupports,
     PartitionNotUnity,
@@ -85,7 +87,7 @@ class LatticeBox:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def index(self, point) -> int:
         pt = tuple(int(v) for v in np.atleast_1d(point))
@@ -124,15 +126,22 @@ class LatticeBox:
     def neighbor_index_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (i, j), i < j, of nearest neighbors inside the box."""
         idx = np.arange(self.size).reshape(self.shape)
-        lefts, rights = [], []
-        for ax in range(self.dimension):
-            sl_a = [slice(None)] * self.dimension
-            sl_b = [slice(None)] * self.dimension
-            sl_a[ax] = slice(None, -1)
-            sl_b[ax] = slice(1, None)
-            lefts.append(idx[tuple(sl_a)].ravel())
-            rights.append(idx[tuple(sl_b)].ravel())
-        return np.concatenate(lefts), np.concatenate(rights)
+        sides = _neighbor_slices(self.dimension)
+        return (np.concatenate([idx[a].ravel() for a, _ in sides]),
+                np.concatenate([idx[b].ravel() for _, b in sides]))
+
+
+def _neighbor_slices(d: int) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """Per axis, the slices of a box-shaped array at the first and the second
+    point of every neighbor pair along that axis (C order within an axis)."""
+    out = []
+    for ax in range(d):
+        first = [slice(None)] * d
+        second = [slice(None)] * d
+        first[ax] = slice(None, -1)
+        second[ax] = slice(1, None)
+        out.append((tuple(first), tuple(second)))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,13 +173,9 @@ class SymmetricLatticeOperator:
         if self.coupling:
             g = v.reshape(self.box.shape)
             acc = np.zeros_like(g)
-            for ax in range(self.box.dimension):
-                sl_a = [slice(None)] * self.box.dimension
-                sl_b = [slice(None)] * self.box.dimension
-                sl_a[ax] = slice(None, -1)
-                sl_b[ax] = slice(1, None)
-                acc[tuple(sl_a)] += g[tuple(sl_b)]
-                acc[tuple(sl_b)] += g[tuple(sl_a)]
+            for a, b in _neighbor_slices(self.box.dimension):
+                acc[a] += g[b]
+                acc[b] += g[a]
             out -= self.coupling * acc.reshape(self.size)
         return out
 
@@ -476,15 +481,17 @@ def ims_partition(
     """
     if inner_radius <= 0:
         raise ValueError("inner_radius must be positive")
-    pts = box.point_array()
+    axes = [np.arange(l, h + 1) for l, h in zip(box.lo, box.hi)]
     etas: list[np.ndarray] = []
     masks: list[np.ndarray] = []
     for c in centers:
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if c.size != box.dimension:
             raise ValueError("partition center dimension mismatch")
-        dist = np.abs(pts - c).max(axis=1)
-        eta = np.clip(2.0 - 2.0 * dist / inner_radius, 0.0, 1.0)
+        # |x - c|_inf as the broadcast maximum of the per-axis distances
+        dist = functools.reduce(
+            np.maximum, np.ix_(*[np.abs(x - cx) for x, cx in zip(axes, c)]))
+        eta = np.clip(2.0 - 2.0 * dist / inner_radius, 0.0, 1.0).reshape(box.size)
         mask = eta > 0.0
         for other in masks:
             if np.any(mask & other):
@@ -498,12 +505,34 @@ def ims_partition(
     return [eta0] + etas
 
 
-def _check_partition(box: LatticeBox, etas: Sequence[np.ndarray]) -> None:
+def _check_partition(box: LatticeBox, etas: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum eta_j^2`` per point; raises unless it is 1 within ``1e-12``."""
     s2 = np.zeros(box.size)
     for eta in etas:
         s2 += np.asarray(eta, dtype=float) ** 2
     if np.max(np.abs(s2 - 1.0)) > 1e-12:
         raise PartitionNotUnity("squared bumps do not sum to 1 within 1e-12")
+    return s2
+
+
+def _grids(box: LatticeBox, etas: Sequence[np.ndarray]) -> list[np.ndarray]:
+    return [np.asarray(eta, dtype=float).reshape(box.shape) for eta in etas]
+
+
+def _nonzero_pairs(
+    shape: tuple[int, ...], per_axis: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Box indices ``(i, j)`` and values of the nonzero entries of per-axis
+    neighbor-pair arrays, in the pair order of
+    :meth:`LatticeBox.neighbor_index_pairs`."""
+    rows, cols, vals = [], [], []
+    for ax, v in enumerate(per_axis):
+        hit = np.nonzero(v)
+        i = np.ravel_multi_index(hit, shape)
+        rows.append(i)
+        cols.append(i + math.prod(shape[ax + 1:]))
+        vals.append(v[hit])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def ims_remainder(
@@ -516,14 +545,14 @@ def ims_remainder(
     pairs only; it is assembled exactly as a sparse matrix.
     """
     _check_partition(op.box, etas)
-    i, j = op.box.neighbor_index_pairs()
-    w = np.zeros(i.size)
-    for eta in etas:
-        eta = np.asarray(eta, dtype=float)
-        w += (eta[i] - eta[j]) ** 2
-    data = -op.coupling * 0.5 * w
-    keep = data != 0.0
-    i, j, data = i[keep], j[keep], data[keep]
+    grids = _grids(op.box, etas)
+    per_axis = []
+    for a, b in _neighbor_slices(op.box.dimension):
+        w = np.zeros(grids[0][a].shape)
+        for g in grids:
+            w += (g[a] - g[b]) ** 2
+        per_axis.append(-op.coupling * 0.5 * w)
+    i, j, data = _nonzero_pairs(grids[0].shape, per_axis)
     rows = np.concatenate([i, j])
     cols = np.concatenate([j, i])
     return scipy.sparse.coo_matrix(
@@ -539,22 +568,21 @@ def ims_identity_residual(
     The identity is algebraic, so this measures pure rounding; values above
     ``1e-12`` indicate a broken partition.
     """
-    _check_partition(op.box, etas)
-    i, j = op.box.neighbor_index_pairs()
-    sum_prod = np.zeros(i.size)
-    sum_sq = np.zeros(op.size)
-    sum_dd = np.zeros(i.size)
-    for eta in etas:
-        eta = np.asarray(eta, dtype=float)
-        sum_prod += eta[i] * eta[j]
-        sum_sq += eta * eta
-        sum_dd += (eta[i] - eta[j]) ** 2
-    off_resid = -op.coupling * (1.0 - sum_prod - 0.5 * sum_dd)
+    sum_sq = _check_partition(op.box, etas)
+    grids = _grids(op.box, etas)
+    off_max = []
+    for a, b in _neighbor_slices(op.box.dimension):
+        sum_prod = np.zeros(grids[0][a].shape)
+        sum_dd = np.zeros(grids[0][a].shape)
+        for g in grids:
+            x, y = g[a], g[b]
+            sum_prod += x * y
+            sum_dd += (x - y) ** 2
+        off_resid = -op.coupling * (1.0 - sum_prod - 0.5 * sum_dd)
+        off_max.append(np.abs(off_resid).max(initial=0.0))
     diag_resid = op.diagonal * (1.0 - sum_sq)
     hmax = max(float(np.abs(op.diagonal).max()), op.coupling)
-    worst = max(
-        float(np.abs(off_resid).max(initial=0.0)), float(np.abs(diag_resid).max())
-    )
+    worst = max(float(np.max(off_max)), float(np.abs(diag_resid).max()))
     return worst / hmax
 
 
@@ -570,37 +598,54 @@ def double_commutator_norms(
     In one dimension the support is a path and ``lambda_min`` comes from the
     LAPACK tridiagonal kernel; in higher dimensions from Lanczos (ARPACK) at
     full precision, started from the all-ones vector, which overlaps the
-    nonnegative Perron vector of the lowest eigenvalue.
-    """
-    from scipy.sparse.linalg import eigsh
+    nonnegative Perron vector of the lowest eigenvalue.  An ARPACK failure
+    raises :class:`ConvergenceFailure`.
 
-    i, j = op.box.neighbor_index_pairs()
+    The support nodes are numbered in box order, so bumps that are
+    translated copies of one another (the wells of a partition) give blocks
+    with the same bytes: the same CSR arrays, or in one dimension the same
+    path couplings.  Within one call each distinct block is solved once; a
+    repeat gets the value of the first solve of the same solver input.
+    """
+    from scipy.sparse.linalg import ArpackError, eigsh
+
+    box = op.box
+    sides = _neighbor_slices(box.dimension)
+    solved: dict = {}  # solver input bytes -> lambda_min, for this call only
     norms: list[float] = []
-    for eta in etas:
-        eta = np.asarray(eta, dtype=float)
-        w = -op.coupling * (eta[i] - eta[j]) ** 2
-        nz = np.flatnonzero(w)
-        if nz.size == 0:
+    for g in _grids(box, etas):
+        i, j, w = _nonzero_pairs(
+            g.shape, [-op.coupling * (g[a] - g[b]) ** 2 for a, b in sides])
+        if w.size == 0:
             norms.append(0.0)
             continue
-        nodes, pos = np.unique(np.concatenate([i[nz], j[nz]]), return_inverse=True)
-        a, b = pos[: nz.size], pos[nz.size :]
+        nodes, pos = np.unique(np.concatenate([i, j]), return_inverse=True)
+        a, b = pos[: w.size], pos[w.size :]
         if nodes.size <= 2:
-            lam_min = w[nz].min()
-        elif op.box.dimension == 1:
+            lam_min = w.min()
+        elif box.dimension == 1:
             # sorted path nodes: a support pair sits at positions (t, t + 1)
             off = np.zeros(nodes.size - 1)
-            off[a] = w[nz]
-            path = (np.zeros(nodes.size), off)
-            lam_min = eigensolve.eigs_tridiag(path, 1).values[0]
+            off[a] = w
+            key = off.tobytes()
+            if key not in solved:
+                path = (np.zeros(nodes.size), off)
+                solved[key] = eigensolve.eigs_tridiag(path, 1).values[0]
+            lam_min = solved[key]
         else:
             B = scipy.sparse.csr_matrix(
-                (np.concatenate([w[nz], w[nz]]),
+                (np.concatenate([w, w]),
                  (np.concatenate([a, b]), np.concatenate([b, a]))),
                 shape=(nodes.size, nodes.size),
             )
-            lam_min = eigsh(B, k=1, which="SA", v0=np.ones(nodes.size), tol=0,
-                            return_eigenvectors=False)[0]
+            key = (B.data.tobytes(), B.indices.tobytes(), B.indptr.tobytes())
+            if key not in solved:
+                try:
+                    solved[key] = eigsh(B, k=1, which="SA", v0=np.ones(nodes.size),
+                                        tol=0, return_eigenvectors=False)[0]
+                except ArpackError as exc:  # includes ArpackNoConvergence
+                    raise ConvergenceFailure(str(exc)) from exc
+            lam_min = solved[key]
         norms.append(float(-lam_min))
     return norms
 
@@ -609,8 +654,6 @@ def partition_variation(
     box: LatticeBox, etas: Sequence[np.ndarray]
 ) -> list[float]:
     """Measured single-step variation ``sup_{|x-y|=1} |eta(x) - eta(y)|`` per bump."""
-    i, j = box.neighbor_index_pairs()
-    return [
-        float(np.abs(np.asarray(eta, dtype=float)[i] - np.asarray(eta, dtype=float)[j]).max())
-        for eta in etas
-    ]
+    sides = [s for s, n in zip(_neighbor_slices(box.dimension), box.shape) if n > 1]
+    return [float(np.max([np.abs(g[a] - g[b]).max() for a, b in sides]))
+            for g in _grids(box, etas)]

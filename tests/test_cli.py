@@ -435,6 +435,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "solver failure: out of memory: dense assembly refused for size 9000\n"
 
+    def test_arpack_failure_is_solver_error(self, tmp_path, monkeypatch, capsys):
+        import scipy.sparse.linalg
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        code = run(["ims", "--potential", "double_well_2d", "--N", "16"], tmp_path)
+        assert code == cli.EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver failure: ")
+
+    def test_dump_matrix_on_the_doubling_route_is_config_error(self, tmp_path, capsys):
+        # the box-doubling route builds no single matrix, so the dump is
+        # refused before any solve instead of being skipped in silence
+        code = run(["spectrum", "--potential", "double_well"], tmp_path,
+                   dump_matrix="m.txt", out="s.csv")
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--dump-matrix" in err and "--M" in err
+        assert not (tmp_path / "m.txt").exists() and not (tmp_path / "s.csv").exists()
+
     def test_degenerate_decomposition_is_solver_error(self, tmp_path):
         code = run(["intervals", "--nmax", "2", "--kappa", "0.9"], tmp_path)
         assert code == cli.EXIT_SOLVER
@@ -659,5 +681,38 @@ def test_readme_example_bytes(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)
     code = cli.main(args.split() + ["--out", f"{name}.csv", "--json", f"{name}.json"])
     assert code == cli.EXIT_OK
+    assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest() == json_digest
+
+
+# SHA-256 of the CSV and the JSON summary of the benchmark's IMS runs and
+# their exit codes, recorded before the slice-based IMS kernels and the
+# one-solve-per-distinct-block commutator norms, which must leave every byte
+# as it was (the 2-d potential floor misses its target at N = 16 and 32)
+IMS_GOLDEN = {
+    "ims_dw2d_N16": (
+        "ims --potential double_well_2d --N 16 --delta-cut 0.2", cli.EXIT_ASSERTION,
+        "0894a0ddd4fc0a3364b177712a953cae10ff7862e91d6b74be8d470dd86242e2",
+        "0b5ab1b4b5897debe1a80aaadff2bca147c925a8c5f183c0bc6de380c73ce294",
+    ),
+    "ims_dw2d_N32": (
+        "ims --potential double_well_2d --N 32 --delta-cut 0.2", cli.EXIT_ASSERTION,
+        "318da6fc0b28441ac973107d5f420bbaaa7c86bf16e18e436a02b35e867ef17a",
+        "9ea9100feb63b4289283c9caae7ed70ce008e16b10e5f87102875ab0059b7511",
+    ),
+    "ims_two_well_N4096": (
+        "ims --potential two_well --N 4096 --gamma 0.5 --delta-cut 0.2", cli.EXIT_OK,
+        "6cf00df1ddb1a9fe78820799dbd89bab2bce8172893d42b8ff45f98a04344d57",
+        "febe870f020808b02ff6dcdfcc6dcb8ab829258c9d46b5465951422efae0c493",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(IMS_GOLDEN))
+def test_ims_bytes(tmp_path, monkeypatch, name):
+    args, exit_code, csv_digest, json_digest = IMS_GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(args.split() + ["--out", f"{name}.csv", "--json", f"{name}.json"])
+    assert code == exit_code
     assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_digest
     assert hashlib.sha256((tmp_path / f"{name}.json").read_bytes()).hexdigest() == json_digest

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsc import hermite
 from lsc.eigensolve import (
@@ -92,6 +95,52 @@ class TestSturm:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             eigs_tridiag((np.ones(3), -np.ones(2)), 4)
+
+
+@st.composite
+def tridiagonals(draw):
+    """Random, clustered or split tridiagonals of size 1-2000 and a ``k <= 8``."""
+    n = draw(st.integers(1, 2000))
+    k = draw(st.integers(1, min(n, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "clustered", "split"]))
+    if kind == "clustered":  # a few values repeated, tiny couplings
+        diag = rng.choice(rng.uniform(-3.0, 3.0, 3), n) + rng.uniform(-1e-13, 1e-13, n)
+        off = rng.uniform(-1e-9, 0.0, n - 1)
+    else:
+        diag = rng.uniform(-5.0, 5.0, n)
+        off = rng.uniform(-2.0, 2.0, n - 1)
+        if kind == "split":  # zero couplings cut the matrix into blocks
+            off[rng.uniform(size=n - 1) < 0.3] = 0.0
+    return diag, off, k
+
+
+class TestTridiagContract:
+    """``eigs_tridiag`` calls ``dstebz`` directly; it must return exactly what
+    ``scipy.linalg.eigvalsh_tridiagonal`` returns with the same driver and
+    tolerance, and keep that wrapper's input checks."""
+
+    @given(tridiagonals())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_scipy_wrapper(self, case):
+        diag, off, k = case
+        want = scipy.linalg.eigvalsh_tridiagonal(
+            diag, off, select="i", select_range=(0, k - 1),
+            lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
+        got = eigs_tridiag((diag, off), k).values
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diag", "off"])
+    def test_non_finite_input_raises(self, bad, where):
+        diag, off = np.linspace(0.0, 1.0, 6), -np.ones(5)
+        (diag if where == "diag" else off)[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigs_tridiag((diag, off), 2)
+
+    def test_non_finite_one_by_one_raises(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigs_tridiag((np.array([np.nan]), np.zeros(0)), 1)
 
 
 def longdouble_hkappa_lowest(kappa, M, approx, sweeps=8, points=63):
