@@ -558,6 +558,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.dump_matrix_path is not None and args.command != "spectrum":
+        print(f"config error: --dump-matrix is read only by spectrum, not by "
+              f"{args.command}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         cfg = build_config(args)
     except (OSError, ValueError) as exc:

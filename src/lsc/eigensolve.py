@@ -6,7 +6,9 @@ Low-lying eigenvalues of symmetric tridiagonal matrices come from LAPACK
 absolute tolerance ``2 * tiny``, LAPACK's most accurate setting.  On
 ``H_kappa`` the lowest levels then agree with an extended-precision Sturm
 count to about 2e-14 relative at ``kappa = 0.05`` and 1.5e-11 at
-``kappa = 4096^(-3/4)``, where ``E / |H|`` is about 1e-6.  Lattice
+``kappa = 4096^(-3/4)``, where ``E / |H|`` is about 1e-6.  The truncation
+of a 1-d operator on ``Z`` to a box is certified by a Dirichlet-Neumann
+bracket, with box doubling as the fallback.  Lattice
 operators in ``d >= 2`` are solved by shift-invert Lanczos (ARPACK) and
 their eigenvalue index is certified by a block Sylvester-inertia count, the
 d-dimensional analogue of the Sturm count.  Dense solves
@@ -78,12 +80,18 @@ def _as_tridiagonal(op) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumResult:
-    """Sorted low-lying eigenvalues with optional vectors and metadata."""
+    """Sorted low-lying eigenvalues with optional vectors and metadata.
+
+    ``truncation_width`` is set when a Dirichlet-Neumann bracket certified
+    the box truncation: per level, how far the Dirichlet value may lie above
+    the level on the whole lattice.
+    """
 
     values: np.ndarray
     vectors: np.ndarray | None = None
     residual_norms: np.ndarray | None = None
     box: object | None = None
+    truncation_width: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -98,6 +106,24 @@ class NodalReport:
     count: int
     index: int | None = None
     symmetry: str | None = None
+
+
+def _stebz(diag: np.ndarray, off: np.ndarray, k: int, abstol: float) -> np.ndarray:
+    """Lowest ``k`` eigenvalues of a finite tridiagonal pair by one LAPACK
+    ``dstebz`` call at absolute tolerance ``abstol``: a LAPACK argument error
+    (``info < 0``) raises ``ValueError``, a bisection failure (``info > 0``)
+    or fewer than ``k`` values raise :class:`ConvergenceFailure`."""
+    if diag.size == 1:
+        return diag.copy()
+    m, values, _, _, info = scipy.linalg.lapack.dstebz(
+        diag, off, 2, 0.0, 1.0, 1, k, abstol, "E")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal dstebz")
+    if info > 0:
+        raise ConvergenceFailure(f"dstebz did not converge (LAPACK info={info})")
+    if m < k:
+        raise ConvergenceFailure(f"dstebz returned {m} of {k} eigenvalues")
+    return values[:k]
 
 
 def eigs_tridiag(op, k: int) -> SpectrumResult:
@@ -116,17 +142,8 @@ def eigs_tridiag(op, k: int) -> SpectrumResult:
         raise ValueError(f"k={k} out of range for size {diag.size}")
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if diag.size == 1:
-        values = diag.copy()
-    else:
-        m, values, _, _, info = scipy.linalg.lapack.dstebz(
-            diag, off, 2, 0.0, 1.0, 1, k, _STEBZ_TOL, "E")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of internal dstebz")
-        if info > 0:
-            raise ConvergenceFailure(f"dstebz did not converge (LAPACK info={info})")
-        values = values[:m]
-    return SpectrumResult(values=values, box=getattr(op, "box", None))
+    return SpectrumResult(values=_stebz(diag, off, k, _STEBZ_TOL),
+                          box=getattr(op, "box", None))
 
 
 def count_below(op, theta: float) -> int:
@@ -453,23 +470,52 @@ def subspace_upper_bounds(op, test_vectors: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def converged_spectrum(
-    assemble: Callable[[int], object], M0: int, k: int
+    assemble: Callable[[int], object],
+    M0: int,
+    k: int,
+    outside_floor: Callable[[int], float],
 ) -> SpectrumResult:
-    """Solve on boxes of doubling half-width until the spectrum stabilizes.
+    """Lowest ``k`` levels of a 1-d lattice operator on ``Z``, certified on a
+    truncated box by a Dirichlet-Neumann bracket, with box doubling as the
+    fallback.
 
-    ``assemble(M)`` must build the operator on the half-width ``M`` box.
-    Stops once every eigenvalue moves by at most ``BOX_DOUBLING_RTOL * (1 +
-    |E|)`` under a doubling and returns the spectrum on the final box;
-    raises :class:`BoxTooSmall` when ``MAX_DOUBLINGS`` doublings do not get
-    there.
+    ``assemble(M)`` builds the Dirichlet operator on the half-width ``M``
+    box; ``outside_floor(M)`` is a lower bound of its potential part
+    ``W = diagonal - 2 * coupling`` at every lattice point outside that box.
+    For ``M = M0, 2 M0, ...`` one pass solves the Dirichlet operator for
+    ``cur`` and sets ``tol = BOX_DOUBLING_RTOL * (1 + |cur|)``.  Cutting the
+    boundary bonds lowers the form, so ``H_Z >= H_box^Neu (+) H_out^Neu`` with
+    ``H_box^Neu`` the Dirichlet operator less ``coupling`` per cut bond on its
+    diagonal and ``H_out^Neu >= outside_floor(M)``; with Dirichlet
+    monotonicity, ``neu_j <= E_j(H_Z) <= cur_j`` whenever ``neu_k`` lies below
+    the floor.  The Neumann levels come from ``dstebz`` at ``abstol = min(tol)
+    / 2`` and ``lower = neu - abstol``.  The pass accepts ``cur`` when ``neu_k +
+    abstol`` is below the floor and ``cur - lower <= tol`` level by level, and
+    reports ``max(cur - lower, 0)`` as ``truncation_width``; the Neumann
+    solve is skipped when ``cur_k - tol_k`` already reaches the floor.
+    Failing that, it accepts ``cur`` when no level moved by more than ``tol``
+    since the previous box (``truncation_width`` stays ``None``), and
+    otherwise doubles ``M``.  After ``MAX_DOUBLINGS`` doublings it raises
+    :class:`BoxTooSmall`.
     """
     M = int(M0)
-    prev = eigs_tridiag(assemble(M), k)
-    for _ in range(MAX_DOUBLINGS):
-        M *= 2
-        cur = eigs_tridiag(assemble(M), k)
-        moved = np.abs(cur.values - prev.values)
-        if np.all(moved <= BOX_DOUBLING_RTOL * (1.0 + np.abs(cur.values))):
+    prev = None
+    for doubling in range(MAX_DOUBLINGS + 1):
+        if doubling:
+            M *= 2
+        op = assemble(M)
+        cur = eigs_tridiag(op, k)
+        tol = BOX_DOUBLING_RTOL * (1.0 + np.abs(cur.values))
+        floor = outside_floor(M)
+        if cur.values[-1] - tol[-1] < floor:
+            abstol = 0.5 * float(tol.min())
+            _, off = op.tridiagonal()
+            neu = _stebz(op.diagonal - op.coupling * op.dropped_neighbor_count(),
+                         off, k, abstol)
+            width = cur.values - (neu - abstol)
+            if neu[-1] + abstol < floor and np.all(width <= tol):
+                return dataclasses.replace(cur, truncation_width=np.maximum(width, 0.0))
+        if prev is not None and np.all(np.abs(cur.values - prev.values) <= tol):
             return cur
         prev = cur
     raise BoxTooSmall(

@@ -168,12 +168,18 @@ def predicted_growth_exponent(gamma: float) -> float:
 
 
 def _converged_1d(
-    assemble: Callable[[LatticeBox], SymmetricLatticeOperator], M0: int, count: int
+    assemble: Callable[[LatticeBox], SymmetricLatticeOperator],
+    M0: int,
+    count: int,
+    outside_floor: Callable[[int], float],
 ) -> SpectrumResult:
-    """Lowest ``count`` levels of a 1-d operator under box doubling from
-    half-width ``M0``; ``assemble(box)`` builds it on a centered box."""
+    """Lowest ``count`` levels of a 1-d operator from half-width ``M0``:
+    certified by a Dirichlet-Neumann bracket, or else under box doubling
+    (:func:`eigensolve.converged_spectrum`).  ``assemble(box)`` builds it on
+    a centered box, and ``outside_floor(M)`` bounds its potential part
+    ``diagonal - 2 * coupling`` from below outside the half-width ``M`` box."""
     return eigensolve.converged_spectrum(
-        lambda M: assemble(LatticeBox.centered(1, M)), M0, count
+        lambda M: assemble(LatticeBox.centered(1, M)), M0, count, outside_floor
     )
 
 
@@ -182,9 +188,15 @@ def _converged_1d(
 # ----------------------------------------------------------------------
 
 def harmonic_levels(kappa: float, count: int) -> SpectrumResult:
-    """Truncation-converged low-lying levels of ``Delta + kappa^4 x^2``."""
+    """Truncation-certified low-lying levels of ``Delta + kappa^4 x^2``.
+
+    The potential part is ``kappa^4 x^2``, at least ``kappa^4 (M + 1)^2``
+    outside the half-width ``M`` box, which is the floor of the
+    Dirichlet-Neumann bracket.
+    """
     M0 = hermite.box_halfwidth(count - 1, kappa)
-    return _converged_1d(partial(lattice.assemble_Hkappa, kappa), M0, count)
+    return _converged_1d(partial(lattice.assemble_Hkappa, kappa), M0, count,
+                         lambda M: kappa**4 * (M + 1) ** 2)
 
 
 @dataclass(frozen=True)
@@ -297,15 +309,27 @@ def _box_start_halfwidth(V: Potential, params: ScalingParams, count: int) -> int
 def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
     """Low-lying levels of the scaled operator.
 
-    One dimension solves under box doubling and separable sums use the
+    One dimension is certified by a Dirichlet-Neumann bracket with box
+    doubling as the fallback; the floor outside the half-width ``M`` box is
+    ``N^(2(1-gamma)) c`` once ``M + 1 > N R0`` for the potential's ``(R0,
+    c)`` positivity pair, and ``-inf`` before.  Separable sums use the
     tensorized route.  Non-separable ``d >= 2`` potentials are solved once
     on the starting box by :func:`eigensolve.eigs_sparse` (shift-invert
     Lanczos with an inertia-count index certificate), still without box
     doubling and capped at 4096 points.
     """
+    strength = float(params.N) ** (2.0 * (1.0 - params.gamma))
+
     def levels_1d(V1: Potential) -> np.ndarray:
         M0 = _box_start_halfwidth(V1, params, count)
-        return _converged_1d(partial(lattice.assemble_HN, V1, params), M0, count).values
+
+        def outside_floor(M: int) -> float:
+            if M + 1 > params.N * V1.positivity_radius:
+                return strength * V1.positivity_floor
+            return -math.inf
+
+        return _converged_1d(partial(lattice.assemble_HN, V1, params), M0, count,
+                             outside_floor).values
 
     if V.dimension == 1:
         return levels_1d(V)
@@ -460,7 +484,8 @@ def regime_sweep(
 
     def chain_levels(scale: float, hop: float) -> np.ndarray:
         assemble = partial(_quadratic_chain, scale, hop, omega)
-        return _converged_1d(assemble, M0, count).values
+        return _converged_1d(assemble, M0, count,
+                             lambda M: scale * 0.5 * omega**2 * (M + 1) ** 2).values
 
     rows: list[RegimeRow] = []
     energies: dict[float, tuple[np.ndarray, np.ndarray]] = {}

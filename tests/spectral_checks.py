@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from lsc.eigensolve import BOX_DOUBLING_RTOL, converged_spectrum, eigs_tridiag
+from lsc.lattice import SymmetricLatticeOperator
+
 CLUSTER_RTOL = 1e-10
 
 
@@ -18,3 +21,31 @@ def multiplicity_clusters(values) -> list[list[int]]:
         else:
             clusters.append([i])
     return clusters
+
+
+
+def assert_bracket_encloses(assemble, M0, k, outside_floor):
+    """``lower <= E(Dirichlet, 8 M0) <= E(Dirichlet, M0)`` level by level, with
+    ``lower`` the Neumann levels on the start box (the Dirichlet diagonal less
+    one coupling per cut bond) less the bracket's tolerance ``BOX_DOUBLING_RTOL
+    (1 + |E|) / 2`` at its tightest level and the top one below
+    ``outside_floor(M0)``; ``converged_spectrum`` then accepts the start box
+    by the bracket."""
+    op = assemble(M0)
+    start = eigs_tridiag(op, k).values
+    wide = eigs_tridiag(assemble(8 * M0), k).values
+    neu = SymmetricLatticeOperator(
+        box=op.box,
+        diagonal=op.diagonal - op.coupling * op.dropped_neighbor_count(),
+        coupling=op.coupling,
+    )
+    tol = BOX_DOUBLING_RTOL * (1.0 + np.abs(start))
+    lower = eigs_tridiag(neu, k).values - 0.5 * tol.min()
+    assert lower[-1] < outside_floor(M0)
+    assert np.all(lower <= wide)
+    # Dirichlet monotonicity, up to the rounding of the bisection
+    assert np.all(wide <= start + 4 * np.finfo(float).eps * np.abs(start))
+    res = converged_spectrum(assemble, M0, k, outside_floor)
+    np.testing.assert_array_equal(res.values, start)
+    assert np.all(res.truncation_width >= 0.0) and np.all(res.truncation_width <= tol)
+    assert np.all(res.values - res.truncation_width <= wide)

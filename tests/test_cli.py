@@ -457,6 +457,18 @@ class TestExitCodes:
         assert "--dump-matrix" in err and "--M" in err
         assert not (tmp_path / "m.txt").exists() and not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "spectrum"])
+    def test_dump_matrix_off_spectrum_is_config_error(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        # only spectrum writes a matrix; elsewhere the flag is refused before
+        # any work instead of being dropped in silence
+        monkeypatch.setattr(cli, "_COMMANDS", {**cli._COMMANDS, command: None})
+        code = run([command], tmp_path, dump_matrix="m.txt", out="o.csv")
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--dump-matrix" in err and command in err
+        assert not (tmp_path / "m.txt").exists() and not (tmp_path / "o.csv").exists()
+
     def test_degenerate_decomposition_is_solver_error(self, tmp_path):
         code = run(["intervals", "--nmax", "2", "--kappa", "0.9"], tmp_path)
         assert code == cli.EXIT_SOLVER
@@ -592,7 +604,10 @@ class TestParseContract:
 # SHA-256 of the CSV and the JSON summary written by the README examples and
 # the benchmark's quasimode run, with relative output paths (the JSON holds
 # the CSV path); recorded before the single-parser CLI and the one-call
-# quadrature, which must leave every byte as it was
+# quadrature, which must leave every byte as it was.  The kappa and converge
+# digests were re-recorded when the Dirichlet-Neumann bracket began returning
+# the start box's levels instead of the doubled box's: their values moved by
+# at most 1 ulp (1.74e-16 relative)
 README_GOLDEN = {
     "sigma": (
         "sigma --potential harmonic --omega 1 --count 4",
@@ -606,13 +621,13 @@ README_GOLDEN = {
     ),
     "kappa": (
         "kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5",
-        "389e5108732ee5a7d77edae6caabeafed2aa62469f80d4771c4b0a6698d89e37",
-        "2f689420664ec194ba4642385bd3e8beb86d2243e2d17df55d70f3079d5880f5",
+        "167e3b21b657f49aeaf0977fe5112212737216aaf48b1c6dcbae1e4b7a2e4cb7",
+        "e592029537bbe1548eafde0cad4e839eba2e7cdc6024e71babb17137ebace213",
     ),
     "converge": (
         "converge --potential double_well --gamma 0 --N 128,256,512,1024 --nmax 1",
-        "745fc74de27b9f44e46cc461b0db9e621998584e364251255abf0f7fd73a327f",
-        "19c2877158fd0d70875513e0321ff9bfc676dc9497c89b89e39e08aa4f1d5187",
+        "446e59b28dd17d71d49024bc05951390b786ebae73d97f42c13c08f773eff8b5",
+        "380b1a4ab8a6cf374393a2ed5bb17b8e8ee62101c91f8cbd5d30d9fc541b882e",
     ),
     "regimes": (
         "regimes --gamma=-1 --N 2,4,8 --nmax 2",

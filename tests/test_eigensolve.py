@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsc import hermite
+from lsc import eigensolve, hermite
 from lsc.eigensolve import (
     classify_symmetry,
     converged_spectrum,
@@ -42,7 +42,7 @@ from lsc.lattice import (
     assemble_laplacian,
 )
 from lsc.potentials import ScalingParams, two_well
-from spectral_checks import multiplicity_clusters
+from spectral_checks import assert_bracket_encloses, multiplicity_clusters
 
 
 def random_confining_tridiag(rng, n):
@@ -519,7 +519,7 @@ class TestConvergedSpectrum:
             levels[M] = eigs_tridiag(assemble(M), 3).values
         for M1, M2 in ((20, 40), (40, 80), (80, 160)):
             assert np.all(levels[M2] <= levels[M1] + 1e-13)
-        res = converged_spectrum(assemble, 50, 3)
+        res = converged_spectrum(assemble, 50, 3, lambda M: kappa**4 * (M + 1) ** 2)
         np.testing.assert_allclose(res.values, levels[160], rtol=1e-10)
 
     def test_gives_up_flag(self):
@@ -530,4 +530,75 @@ class TestConvergedSpectrum:
             return assemble_laplacian(box)
 
         with pytest.raises(BoxTooSmall, match="after 14 doublings"):
-            converged_spectrum(assemble, 4, 1)
+            converged_spectrum(assemble, 4, 1, lambda M: 0.0)
+
+
+class TestTruncationBracket:
+    @pytest.mark.parametrize("kappa", [0.2, 0.05])
+    def test_encloses_the_harmonic_levels(self, kappa):
+        def assemble(M):
+            return assemble_Hkappa(kappa, LatticeBox.centered(1, M))
+
+        assert_bracket_encloses(assemble, hermite.box_halfwidth(5, kappa), 6,
+                                lambda M: kappa**4 * (M + 1) ** 2)
+
+    def test_small_start_box_falls_back_to_doubling(self):
+        kappa = 0.2
+        boxes = []
+
+        def assemble(M):
+            boxes.append(M)
+            return assemble_Hkappa(kappa, LatticeBox.centered(1, M))
+
+        res = converged_spectrum(assemble, 4, 3, lambda M: kappa**4 * (M + 1) ** 2)
+        assert len(boxes) > 1 and boxes == [4 * 2**j for j in range(len(boxes))]
+        assert res.box == LatticeBox.centered(1, boxes[-1])
+        big = eigs_tridiag(assemble_Hkappa(kappa, LatticeBox.centered(1, 400)), 3).values
+        np.testing.assert_allclose(res.values, big, rtol=1e-10)
+
+    @pytest.mark.parametrize("floor", [0.0, -math.inf])
+    def test_floor_below_the_levels_skips_neumann_and_doubles(self, monkeypatch, floor):
+        # a floor the Dirichlet levels already reach cannot certify: only the
+        # Dirichlet solves run, the doubling test accepts the doubled box as
+        # before the bracket, and no width is reported
+        kappa = 0.2
+        tolerances = []
+        stebz = eigensolve._stebz
+
+        def counting(diag, off, k, abstol):
+            tolerances.append(abstol)
+            return stebz(diag, off, k, abstol)
+
+        monkeypatch.setattr(eigensolve, "_stebz", counting)
+
+        def assemble(M):
+            return assemble_Hkappa(kappa, LatticeBox.centered(1, M))
+
+        M0 = hermite.box_halfwidth(2, kappa)
+        res = converged_spectrum(assemble, M0, 3, lambda M: floor)
+        assert tolerances == [eigensolve._STEBZ_TOL] * 2
+        assert res.truncation_width is None
+        assert res.box == LatticeBox.centered(1, 2 * M0)
+        np.testing.assert_array_equal(res.values, eigs_tridiag(assemble(2 * M0), 3).values)
+
+    def test_neumann_level_at_the_floor_is_not_certified(self):
+        # a floor at the top level passes the width test but not the index
+        # condition, since the outside spectrum may then hold a lower level
+        kappa = 0.2
+
+        def assemble(M):
+            return assemble_Hkappa(kappa, LatticeBox.centered(1, M))
+
+        M0 = hermite.box_halfwidth(2, kappa)
+        top = eigs_tridiag(assemble(M0), 3).values[-1]
+        res = converged_spectrum(assemble, M0, 3, lambda M: top)
+        assert res.truncation_width is None
+        assert res.box == LatticeBox.centered(1, 2 * M0)
+
+    def test_stebz_reports_missing_values(self, monkeypatch):
+        def short(diag, off, *args):
+            return 1, np.zeros(diag.size), None, None, 0
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", short)
+        with pytest.raises(ConvergenceFailure, match="1 of 2"):
+            eigs_tridiag((np.array([1.0, 2.0, 3.0]), np.array([-0.5, -0.5])), 2)

@@ -161,6 +161,21 @@ class TestWellInvariants:
             Well(location=np.zeros(2), frequencies=np.array([2.0, 1.0]))
 
 
+
+class TestPositivityMetadata:
+    # the truncation bracket takes N^(2(1 - gamma)) c as the potential's floor
+    # outside a box past N R0, so the (R0, c) pair must hold far out too
+    @pytest.mark.parametrize("V", [
+        harmonic([0.5]), harmonic([1.0]), harmonic([2.0]), double_well(),
+        two_well(), two_well(omega=2.0, separation=1.0),
+    ], ids=["harmonic-0.5", "harmonic-1", "harmonic-2", "double_well", "two_well",
+            "two_well-2-1"])
+    def test_floor_holds_out_to_a_hundred_radii(self, V):
+        R0 = V.positivity_radius
+        y = np.linspace(R0, 100.0 * R0, 200_001)[1:]
+        values = eval_potential(V, np.concatenate([-y, y])[:, None])
+        assert values.min() >= V.positivity_floor
+
 class TestValidation:
     def test_harmonic_all_pass(self):
         report = validate_assumptions(harmonic([1.0]), 10.0, 0.01)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsc import eigensolve, hermite, lattice, semiclassics
+from lsc import cli, eigensolve, hermite, lattice, semiclassics
 from lsc.errors import DegenerateDecomposition
 from lsc.lattice import LatticeBox
 from lsc.potentials import (
@@ -33,6 +33,7 @@ from lsc.semiclassics import (
     regime_sweep,
     sigma_enumerate,
 )
+from spectral_checks import assert_bracket_encloses
 
 
 def sigma_brute_force(V, count):
@@ -521,3 +522,59 @@ class TestImsExperiment:
             ims_general_experiment(
                 narrow, ScalingParams(N=64, gamma=0.0, omega=1.0), 0.45
             )
+
+
+class TestTruncationBracket:
+    def test_encloses_the_double_well_levels(self):
+        V = double_well()
+        params = ScalingParams(N=256, gamma=0.0, omega=2.0)
+        floor = 256.0**2 * V.positivity_floor  # N^(2(1 - gamma)) c
+
+        def assemble(M):
+            return lattice.assemble_HN(V, params, LatticeBox.centered(1, M))
+
+        assert_bracket_encloses(
+            assemble, semiclassics._box_start_halfwidth(V, params, 4), 4,
+            lambda M: floor if M + 1 > 256 * V.positivity_radius else -math.inf)
+
+    @pytest.mark.parametrize("gamma", [-1.5, -2.0])
+    def test_encloses_the_sub_kink_chain_levels(self, gamma):
+        # the prescaled chain H_N / N^(2|gamma|) at N = 8, as in regime_sweep
+        hop = 8.0 ** (2.0 - 2.0 * abs(gamma))
+
+        def assemble(M):
+            return semiclassics._quadratic_chain(1.0, hop, 1.0, LatticeBox.centered(1, M))
+
+        assert_bracket_encloses(assemble, 16, 3, lambda M: 0.5 * (M + 1) ** 2)
+
+    @pytest.mark.parametrize("argv, code", [
+        ("converge --potential two_well --gamma 0.9 --N 2,4,8 --nmax 1", cli.EXIT_OK),
+        ("converge --potential two_well --gamma 0.5 --N 4,8,16 --nmax 2",
+         cli.EXIT_ASSERTION),
+        ("converge --potential harmonic --gamma -0.9 --N 2,4,8 --nmax 3",
+         cli.EXIT_ASSERTION),
+    ])
+    def test_floor_above_the_levels_falls_back_to_doubling(self, tmp_path, monkeypatch,
+                                                           argv, code):
+        # at these small N the positivity floor N^(2(1 - gamma)) c lies below
+        # the tracked levels, so only the doubling test can accept a box
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv.split()) == code
+
+    def test_one_solve_per_converged_spectrum_call(self, tmp_path, monkeypatch):
+        counts = {"converged": 0, "solves": 0}
+        converged, solve = eigensolve.converged_spectrum, eigensolve.eigs_tridiag
+
+        def counting_converged(*args):
+            counts["converged"] += 1
+            return converged(*args)
+
+        def counting_solve(*args):
+            counts["solves"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(eigensolve, "converged_spectrum", counting_converged)
+        monkeypatch.setattr(eigensolve, "eigs_tridiag", counting_solve)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main("kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5".split()) == cli.EXIT_OK
+        assert counts == {"converged": 4, "solves": 4}
