@@ -1,10 +1,15 @@
 """Command-line front end: dispatch experiments, emit CSV rows and JSON summaries.
 
-Config lives in a plain ``key=value`` file (``--config PATH``); any flag
-given on the command line overrides the file.  Numeric CSV fields are
-written with 17 significant digits, and grids are solved in grid order,
-so identical configs produce byte-identical output.  Unknown config keys
-are rejected as invalid configuration.
+Each flag is declared once, in ``_FLAGS``; each subcommand takes only the
+flags its handler reads (``_READS``), plus ``--out``, ``--json`` and
+``--config``.  Config lives in a plain ``key=value`` file keyed by flag
+name; any flag given on the command line overrides the file.  A flag or
+key that the subcommand does not read, or that names no flag, is invalid
+configuration, rejected before any work.  Each handler returns its CSV
+header and rows, exit code and measured constants, and ``main`` writes
+the CSV and the ``--json`` summary.  Numeric CSV fields are written with
+17 significant digits, and grids are solved in grid order, so identical
+configs produce byte-identical output.
 
 Exit codes: 0 success, 2 invalid configuration, 3 assumption validation
 failed, 4 solver non-convergence, 5 an experiment assertion failed (for
@@ -21,11 +26,13 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import eigensolve, hermite, lattice, potentials, semiclassics
-from .errors import BoxTooSmall, ConvergenceFailure, DegenerateDecomposition, LscError
+from .errors import (AssumptionsFailed, BoxTooSmall, ConvergenceFailure,
+                     DegenerateDecomposition, LscError)
 from .lattice import LatticeBox
 
 EXIT_OK = 0
@@ -125,7 +132,7 @@ def dump_matrix(path: str, op) -> None:
 
 
 def _parse_config_file(path: str) -> dict:
-    out: dict[str, str] = {}
+    out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -135,27 +142,20 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            # config keys mirror the flags; map the two path flags whose
-            # argparse destinations differ from their names
-            key = {"json": "json_path", "dump_matrix": "dump_matrix_path"}.get(key, key)
-            if key not in _KEYS:
+            if key not in _FLAGS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = value.strip()
+            out[key] = _FLAGS[key].convert(value.strip())
     return out
 
 
-def _floats(text) -> list[float]:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    toks = str(text).replace("[", "").replace("]", "").split(",")
-    return [float(t) for t in toks if t.strip()]
+def _floats(text: str) -> list[float]:
+    return [float(t) for t in text.replace("[", "").replace("]", "").split(",")
+            if t.strip()]
 
 
-def _ints(text) -> list[int]:
-    if isinstance(text, int):
-        return [text]
-    toks = str(text).replace("[", "").replace("]", "").split(",")
-    return [int(t) for t in toks if t.strip()]
+def _ints(text: str) -> list[int]:
+    return [int(t) for t in text.replace("[", "").replace("]", "").split(",")
+            if t.strip()]
 
 
 @dataclass(frozen=True)
@@ -194,142 +194,167 @@ class RunConfig:
             raise ValueError("delta_spike must lie in (0, 0.5)")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be at least 1, got k={self.k}")
+        if self.M is not None and self.M < 0:
+            raise ValueError(f"M must be nonnegative, got M={self.M}")
         if self.nmax is not None and self.nmax < 0:
             raise ValueError(f"nmax must be nonnegative, got nmax={self.nmax}")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got epsilon={self.epsilon}")
 
 
+class _Flag(NamedTuple):
+    field: str  # the RunConfig field it fills
+    convert: Callable[[str], object]  # applied to the command line and the config file
+    help: str
+
+
+# every flag, keyed by its config-key spelling: the flag is "--" + key with "-" for "_"
+_FLAGS = {
+    "potential": _Flag("potential", str,
+                       "harmonic|double_well|double_well_2d|two_well|free"),
+    "omega": _Flag("omega", _floats, "comma list of well frequencies"),
+    "wells": _Flag("wells", _floats, "two well locations (two_well only)"),
+    "gamma": _Flag("gammas", _floats, "scaling exponent (comma list for regimes)"),
+    "N": _Flag("Ns", _ints, "comma list of mesh counts"),
+    "kappa": _Flag("kappas", _floats, "comma list of reduced scales"),
+    "nmax": _Flag("nmax", int, "highest tracked level"),
+    "delta_spike": _Flag("delta_spike", float, "spike exponent in (0, 0.5)"),
+    "delta_cut": _Flag("delta_cut", float, "cube cutoff exponent in (0, (1-gamma)/2)"),
+    "epsilon": _Flag("epsilon", float, "certificate margin"),
+    "count": _Flag("count", int, "number of enumerated values"),
+    "M": _Flag("M", int, "box half-width override"),
+    "k": _Flag("k", int, "number of eigenvalues"),
+    "out": _Flag("out", str, "CSV output path (default <command>.csv)"),
+    "json": _Flag("json_path", str, "JSON summary path"),
+    "dump_matrix": _Flag("dump_matrix_path", str, "triplet dump path"),
+    "scan_radius": _Flag("scan_radius", float, "assumption scan radius"),
+    "grid_step": _Flag("grid_step", float, "assumption scan step"),
+}
+# the flags each command's handler reads; main's writer reads "out" and "json" for all
+_READS = {
+    "spectrum": ("potential", "omega", "wells", "gamma", "N", "kappa", "M", "k",
+                 "dump_matrix"),
+    "sigma": ("potential", "omega", "wells", "count"),
+    "converge": ("potential", "omega", "wells", "scan_radius", "grid_step", "gamma", "N",
+                 "nmax"),
+    "kappa": ("kappa", "nmax"),
+    "regimes": ("omega", "gamma", "N", "nmax"),
+    "quasimode": ("kappa", "nmax"),
+    "intervals": ("nmax", "kappa", "delta_spike", "epsilon"),
+    "ims": ("potential", "omega", "wells", "N", "gamma", "delta_cut", "nmax"),
+    "validate": ("potential", "omega", "wells", "scan_radius", "grid_step"),
+}
+_WRITER_KEYS = ("out", "json")
+
+
+def _flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every subcommand: a positional command and the shared flags."""
+    """One parser for every subcommand: a positional command and every flag, each
+    flag's help naming the commands that read it."""
     p = argparse.ArgumentParser(
         prog="lsc",
         description="Spectra of lattice Schrodinger operators under coupled "
         "mesh / semiclassical scaling",
     )
     p.add_argument("command", choices=_COMMANDS)
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--potential", help="harmonic|double_well|double_well_2d|two_well|free")
-    p.add_argument("--omega", help="comma list of well frequencies")
-    p.add_argument("--wells", help="comma list of well locations (two_well family)")
-    p.add_argument("--gamma", help="scaling exponent (comma list for regimes)")
-    p.add_argument("--N", dest="N", help="comma list of mesh counts")
-    p.add_argument("--kappa", help="comma list of reduced scales")
-    p.add_argument("--nmax", type=int, help="highest tracked level")
-    p.add_argument("--delta-spike", dest="delta_spike", type=float,
-                   help="spike exponent in (0, 0.5)")
-    p.add_argument("--delta-cut", dest="delta_cut", type=float,
-                   help="cube cutoff exponent in (0, (1-gamma)/2)")
-    p.add_argument("--epsilon", type=float, help="certificate margin")
-    p.add_argument("--count", type=int, help="number of enumerated values")
-    p.add_argument("--M", type=int, help="box half-width override")
-    p.add_argument("--k", type=int, help="number of eigenvalues")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--json", dest="json_path", help="JSON summary path")
-    p.add_argument("--dump-matrix", dest="dump_matrix_path", help="triplet dump path")
-    p.add_argument("--scan-radius", dest="scan_radius", type=float)
-    p.add_argument("--grid-step", dest="grid_step", type=float)
+    p.add_argument("--config", help="key=value config file keyed by flag name; "
+                   "flags override; read by every command")
+    for key, flag in _FLAGS.items():
+        readers = ("every command" if key in _WRITER_KEYS else
+                   ", ".join(c for c, keys in _READS.items() if key in keys))
+        p.add_argument(_flag_name(key), dest=key, type=flag.convert,
+                       help=f"{flag.help}; read by {readers}")
     return p
 
 
-# every config key (flag destination) and its converter; other keys are rejected
-_KEYS = {
-    "potential": str,
-    "omega": _floats,
-    "wells": _floats,
-    "gamma": _floats,
-    "N": _ints,
-    "kappa": _floats,
-    "nmax": int,
-    "delta_spike": float,
-    "delta_cut": float,
-    "epsilon": float,
-    "count": int,
-    "M": int,
-    "k": int,
-    "out": str,
-    "json_path": str,
-    "dump_matrix_path": str,
-    "scan_radius": float,
-    "grid_step": float,
-}
-# config keys whose RunConfig field has another (plural) name
-_FIELDS = {"gamma": "gammas", "N": "Ns", "kappa": "kappas"}
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict = {}
-    if args.config:
-        merged.update(_parse_config_file(args.config))
-    for key, value in vars(args).items():
-        if key in ("config", "command"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return RunConfig(
-        command=args.command,
-        **{_FIELDS.get(key, key): _KEYS[key](value) for key, value in merged.items()},
-    )
+    """Merge the config file and the flags (flags win); a key the command does not
+    read is a ``ValueError`` naming its flag and the command."""
+    merged = _parse_config_file(args.config) if args.config else {}
+    merged.update((key, value) for key, value in vars(args).items()
+                  if key in _FLAGS and value is not None)
+    for key in merged:
+        if key not in _READS[args.command] and key not in _WRITER_KEYS:
+            raise ValueError(f"{_flag_name(key)} is not read by {args.command}")
+    return RunConfig(command=args.command,
+                     **{_FLAGS[key].field: value for key, value in merged.items()})
 
 
 def _default(value, fallback):
     return fallback if value is None else value
 
 
+def _single(values, default, key: str):
+    """The value of a list flag that is read as one value, or ``default`` when unset."""
+    if not values:
+        return default
+    if len(values) > 1:
+        raise ValueError(f"{_flag_name(key)} takes one value here, got {len(values)}")
+    return values[0]
+
+
 def _resolve_potential(cfg: RunConfig) -> potentials.Potential:
     name = _default(cfg.potential, "harmonic")
-    if name == "two_well" and cfg.wells is not None:
-        if len(cfg.wells) != 2:
-            raise ValueError("two_well takes exactly two well locations")
-        separation = abs(cfg.wells[1] - cfg.wells[0])
-        omega = cfg.omega[0] if cfg.omega else 1.0
-        return potentials.two_well(omega=omega, separation=separation)
-    return potentials.builtin_potential(name, cfg.omega)
+    if cfg.wells is not None and name != "two_well":
+        raise ValueError(f"--wells is not read by potential {name}")
+    if cfg.omega is not None and name in ("double_well", "double_well_2d"):
+        raise ValueError(f"--omega is not read by potential {name}")
+    if name != "two_well":
+        return potentials.builtin_potential(name, cfg.omega)
+    omega = _single(cfg.omega, 1.0, "omega")
+    if cfg.wells is None:
+        return potentials.two_well(omega=omega)
+    if len(cfg.wells) != 2:
+        raise ValueError("two_well takes exactly two well locations")
+    return potentials.two_well(omega=omega, separation=abs(cfg.wells[1] - cfg.wells[0]))
 
 
-def _csv_path(cfg: RunConfig, default: str) -> str:
-    return str(_default(cfg.out, default))
+# what a handler returns: the CSV header and rows, the exit code, the measured constants
+_Output = tuple[list[str], list[tuple], int, dict]
 
 
-def _summary(cfg: RunConfig, experiment: str, passed: bool, constants: dict,
-             csv_path: str) -> None:
+def _write_outputs(cfg: RunConfig, header: list[str], rows: list[tuple], exit_code: int,
+                   constants: dict) -> int:
+    """Write the CSV and, with ``--json``, the summary; return ``exit_code``."""
+    path = _default(cfg.out, f"{cfg.command}.csv")
+    write_csv(path, header, rows)
     if cfg.json_path:
-        params = {
-            key: value
-            for key, value in dataclasses.asdict(cfg).items()
-            if value is not None
-            and key not in ("out", "json_path", "dump_matrix_path")
-        }
-        write_json(str(cfg.json_path), {
-            "experiment": experiment,
+        params = {key: value for key, value in dataclasses.asdict(cfg).items()
+                  if value is not None
+                  and key not in ("out", "json_path", "dump_matrix_path")}
+        write_json(cfg.json_path, {
+            "experiment": cfg.command,
             "params": params,
-            "pass": bool(passed),
+            "pass": exit_code == EXIT_OK,
             "measured_constants": constants,
-            "rows_csv_path": csv_path,
+            "rows_csv_path": path,
         })
+    return exit_code
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig) -> _Output:
     k = _default(cfg.k, 6)
     if cfg.potential == "free":
         M = _default(cfg.M, 1)
         op = lattice.assemble_laplacian(LatticeBox.centered(1, M))
         values = eigensolve.eigs_tridiag(op, k).values
     elif cfg.kappas:
-        kappa = cfg.kappas[0]
+        kappa = _single(cfg.kappas, None, "kappa")
         M = _default(cfg.M, hermite.box_halfwidth(k - 1, kappa))
         op = lattice.assemble_Hkappa(kappa, LatticeBox.centered(1, M))
         values = eigensolve.eigs_tridiag(op, k).values
     else:
         V = _resolve_potential(cfg)
-        N = (cfg.Ns or [16])[0]
-        gamma = (cfg.gammas or [0.0])[0]
         params = potentials.ScalingParams(
-            N=N, gamma=gamma, omega=float(V.wells[0].frequencies[0])
+            N=_single(cfg.Ns, 16, "N"), gamma=_single(cfg.gammas, 0.0, "gamma"),
+            omega=float(V.wells[0].frequencies[0]),
         )
         if cfg.M is not None:
             op = lattice.assemble_HN(V, params, LatticeBox.centered(V.dimension, cfg.M))
@@ -342,13 +367,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             values = semiclassics.levels_HN(V, params, k)
     if cfg.dump_matrix_path:
         dump_matrix(cfg.dump_matrix_path, op)
-    path = _csv_path(cfg, "spectrum.csv")
-    write_csv(path, ["n", "E_n"], [(n, float(v)) for n, v in enumerate(values)])
-    _summary(cfg, "spectrum", True, {}, path)
-    return EXIT_OK
+    return ["n", "E_n"], [(n, float(v)) for n, v in enumerate(values)], EXIT_OK, {}
 
 
-def cmd_sigma(cfg: RunConfig) -> int:
+def cmd_sigma(cfg: RunConfig) -> _Output:
     V = _resolve_potential(cfg)
     seq = semiclassics.sigma_enumerate(V, _default(cfg.count, 8))
     names = list(map(str, range(int(seq.multi.max()) + 1)))  # one str per index value
@@ -356,53 +378,44 @@ def cmd_sigma(cfg: RunConfig) -> int:
     texts, inverse = _distinct_texts(seq.values)
     values = map(texts.__getitem__, inverse.tolist())
     rows = list(zip(range(len(seq)), values, seq.wells.tolist(), multis))
-    path = _csv_path(cfg, "sigma.csv")
-    write_csv(path, ["n", "e_n", "well", "multi_index"], rows)
-    _summary(cfg, "sigma", True, {}, path)
-    return EXIT_OK
+    return ["n", "e_n", "well", "multi_index"], rows, EXIT_OK, {}
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig) -> _Output:
     V = _resolve_potential(cfg)
     radius = _default(cfg.scan_radius, V.positivity_radius + 3.0)
     step = _default(cfg.grid_step, 0.01)
     report = potentials.validate_assumptions(V, radius, step)
-    path = _csv_path(cfg, "validate.csv")
-    write_csv(
-        path,
-        ["check", "passed", "detail"],
-        [
-            ("nonnegative", report.nonnegative, report.min_value),
-            ("wells", report.wells_valid, len(report.well_messages)),
-            ("no_unregistered_zeros", not report.unregistered_zeros,
-             len(report.unregistered_zeros)),
-            ("positive_at_infinity", report.positive_at_infinity, report.floor_margin),
-            ("smoothness", True, report.smoothness),
-        ],
-    )
-    _summary(cfg, "validate", report.passed, {"zero_count": report.zero_count}, path)
-    return EXIT_OK if report.passed else EXIT_VALIDATION
+    rows = [
+        ("nonnegative", report.nonnegative, report.min_value),
+        ("wells", report.wells_valid, len(report.well_messages)),
+        ("no_unregistered_zeros", not report.unregistered_zeros,
+         len(report.unregistered_zeros)),
+        ("positive_at_infinity", report.positive_at_infinity, report.floor_margin),
+        ("smoothness", True, report.smoothness),
+    ]
+    return (["check", "passed", "detail"], rows,
+            EXIT_OK if report.passed else EXIT_VALIDATION,
+            {"zero_count": report.zero_count})
 
 
-def cmd_kappa(cfg: RunConfig) -> int:
+def cmd_kappa(cfg: RunConfig) -> _Output:
     kappas = _default(cfg.kappas, [0.2, 0.1, 0.05, 0.025])
     n_max = _default(cfg.nmax, 5)
-    omega = (cfg.omega or [1.0])[0]
-    study = semiclassics.harmonic_kappa_study(omega, kappas, n_max)
+    study = semiclassics.harmonic_kappa_study(kappas, n_max)
     rows = [(r.kappa, r.n, r.energy, r.ratio, r.target, r.abs_err)
             for r in study.rows]
-    path = _csv_path(cfg, "kappa.csv")
-    write_csv(path, ["kappa", "n", "E_n", "ratio", "target", "abs_err"], rows)
     decreasing = all(
         all(d2 < d1 for d1, d2 in zip(study.deviations(n), study.deviations(n)[1:]))
         for n in range(n_max + 1)
     )
     orders = {str(n): study.deviation_orders[n] for n in range(n_max + 1)}
-    _summary(cfg, "kappa", decreasing, {"deviation_orders": orders}, path)
-    return EXIT_OK if decreasing else EXIT_ASSERTION
+    return (["kappa", "n", "E_n", "ratio", "target", "abs_err"], rows,
+            EXIT_OK if decreasing else EXIT_ASSERTION, {"deviation_orders": orders})
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(cfg: RunConfig) -> _Output:
+    gamma = _single(cfg.gammas, 0.0, "gamma")
     V = _resolve_potential(cfg)
     report = potentials.validate_assumptions(
         V,
@@ -410,45 +423,37 @@ def cmd_converge(cfg: RunConfig) -> int:
         _default(cfg.grid_step, 0.02),
     )
     if not report.passed:
-        print("assumption validation failed; see `lsc validate`", file=sys.stderr)
-        return EXIT_VALIDATION
-    gamma = (cfg.gammas or [0.0])[0]
+        raise AssumptionsFailed("assumption validation failed; see `lsc validate`")
     Ns = _default(cfg.Ns, [128, 256, 512, 1024])
     n_max = _default(cfg.nmax, 1)
     table = semiclassics.converge_study(V, gamma, Ns, n_max)
     rows = [(r.gamma, r.N, r.n, r.energy, r.lam, r.ratio, r.target, r.abs_err)
             for r in table.rows]
-    path = _csv_path(cfg, "converge.csv")
-    write_csv(path, ["gamma", "N", "n", "E_n", "lambda_N", "ratio", "target",
-                     "abs_err"], rows)
     passed = all(table.errors_decreasing.values())
-    _summary(cfg, "converge", passed,
-             {"orders": {str(n): table.orders[n] for n in table.orders}}, path)
-    return EXIT_OK if passed else EXIT_ASSERTION
+    return (["gamma", "N", "n", "E_n", "lambda_N", "ratio", "target", "abs_err"], rows,
+            EXIT_OK if passed else EXIT_ASSERTION,
+            {"orders": {str(n): table.orders[n] for n in table.orders}})
 
 
-def cmd_regimes(cfg: RunConfig) -> int:
+def cmd_regimes(cfg: RunConfig) -> _Output:
     gammas = _default(cfg.gammas, [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5])
     Ns = _default(cfg.Ns, [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
     n_max = _default(cfg.nmax, 2)
-    omega = (cfg.omega or [1.0])[0]
+    omega = _single(cfg.omega, 1.0, "omega")
     sweep = semiclassics.regime_sweep(omega, gammas, Ns, n_max)
     rows = [(r.gamma, r.n, r.slope_fit, r.slope_pred, r.limit_const_fit,
              r.limit_const_pred) for r in sweep.rows]
-    path = _csv_path(cfg, "regimes.csv")
-    write_csv(path, ["gamma", "n", "slope_fit", "slope_pred",
-                     "limit_const_fit", "limit_const_pred"], rows)
     worst = max(abs(r.slope_fit - r.slope_pred)
                 for r in sweep.rows if not (r.gamma < -1.0 and r.n == 0))
     constants = {"worst_slope_error": worst}
     if sweep.minus_one_exact_dev is not None:
         constants["minus_one_exact_dev"] = sweep.minus_one_exact_dev
-    passed = worst <= 0.1
-    _summary(cfg, "regimes", passed, constants, path)
-    return EXIT_OK if passed else EXIT_ASSERTION
+    return (["gamma", "n", "slope_fit", "slope_pred", "limit_const_fit",
+             "limit_const_pred"], rows,
+            EXIT_OK if worst <= 0.1 else EXIT_ASSERTION, constants)
 
 
-def cmd_quasimode(cfg: RunConfig) -> int:
+def cmd_quasimode(cfg: RunConfig) -> _Output:
     kappas = _default(cfg.kappas, [0.2, 0.1])
     n_max = _default(cfg.nmax, 3)
     rows = []
@@ -475,18 +480,15 @@ def cmd_quasimode(cfg: RunConfig) -> int:
                 ritz_ok = False
             rows.append((kappa, n, sup, sup / kappa**4, gram_dev,
                          float(thetas[n]) / kappa**2))
-    path = _csv_path(cfg, "quasimode.csv")
-    write_csv(path, ["kappa", "n", "resid_sup", "resid_over_kappa4",
-                     "gram_diag_dev", "ritz_over_kappa2"], rows)
     passed = ritz_ok and cross_worst <= 1e-9
-    _summary(cfg, "quasimode", passed,
-             {"stencil_vs_integral": cross_worst}, path)
-    return EXIT_OK if passed else EXIT_ASSERTION
+    return (["kappa", "n", "resid_sup", "resid_over_kappa4", "gram_diag_dev",
+             "ritz_over_kappa2"], rows,
+            EXIT_OK if passed else EXIT_ASSERTION, {"stencil_vs_integral": cross_worst})
 
 
-def cmd_intervals(cfg: RunConfig) -> int:
+def cmd_intervals(cfg: RunConfig) -> _Output:
     n = _default(cfg.nmax, 2)
-    kappa = (cfg.kappas or [0.05])[0]
+    kappa = _single(cfg.kappas, 0.05, "kappa")
     delta = _default(cfg.delta_spike, 0.25)
     epsilon = _default(cfg.epsilon, 0.1)
     report = semiclassics.interval_lowerbound_experiment(n, kappa, delta, epsilon)
@@ -495,51 +497,44 @@ def cmd_intervals(cfg: RunConfig) -> int:
              float(report.decomposition.beta[abs(r.label) - 1]) if r.label else 1.0,
              r.modified, r.ground_energy, r.ratio, r.cert_ok, r.cert_slack)
             for r in report.rows]
-    path = _csv_path(cfg, "intervals.csv")
-    write_csv(path, ["n", "kappa", "j", "lo", "hi", "beta", "modified",
-                     "E0", "ratio", "cert_ok", "cert_slack"], rows)
     passed = cover and report.all_certificates_ok and report.ratio_ok
     # the capped certificate needs kappa^4 x_delta^2 >= threshold kappa^2 past
     # the spike, with x_delta ~ kappa^-(1 + delta): kappa <= threshold^(-1/(2 delta))
-    _summary(cfg, "intervals", passed, {
+    return (["n", "kappa", "j", "lo", "hi", "beta", "modified", "E0", "ratio", "cert_ok",
+             "cert_slack"], rows, EXIT_OK if passed else EXIT_ASSERTION, {
         "min_ratio": report.min_ratio,
         "threshold": report.threshold,
         "kappa_admissible_max": report.threshold ** (-0.5 / delta),
         "cover_ok": cover,
-    }, path)
-    return EXIT_OK if passed else EXIT_ASSERTION
+    })
 
 
-def cmd_ims(cfg: RunConfig) -> int:
+def cmd_ims(cfg: RunConfig) -> _Output:
     V = _resolve_potential(cfg)
-    N = (cfg.Ns or [256])[0]
-    gamma = (cfg.gammas or [0.0])[0]
     delta_cut = _default(cfg.delta_cut, 0.2)
     n_max = _default(cfg.nmax, 3)
     params = potentials.ScalingParams(
-        N=N, gamma=gamma, omega=float(V.wells[0].frequencies[0])
+        N=_single(cfg.Ns, 256, "N"), gamma=_single(cfg.gammas, 0.0, "gamma"),
+        omega=float(V.wells[0].frequencies[0]),
     )
     report = semiclassics.ims_general_experiment(V, params, delta_cut, n_max)
     rows = [("eta0", report.eta0_commutator_norm, report.eta0_bound, 0.0, 0.0, 0.0)]
     rows += [(f"well{i}", r.commutator_norm, r.commutator_bound, r.variation,
               r.potdiff_norm, r.potdiff_scale)
              for i, r in enumerate(report.rows)]
-    path = _csv_path(cfg, "ims.csv")
-    write_csv(path, ["patch", "commutator_norm", "commutator_bound",
-                     "variation", "potdiff_norm", "potdiff_scale"], rows)
     passed = (
         report.identity_residual <= 1e-12
         and report.commutators_ok
         and report.eta0_commutator_norm <= report.eta0_bound
         and report.floor_ok
     )
-    _summary(cfg, "ims", passed, {
+    return (["patch", "commutator_norm", "commutator_bound", "variation", "potdiff_norm",
+             "potdiff_scale"], rows, EXIT_OK if passed else EXIT_ASSERTION, {
         "identity_residual": report.identity_residual,
         "inner_radius": report.inner_radius,
         "floor_min": report.floor_min,
         "floor_target": report.floor_target,
-    }, path)
-    return EXIT_OK if passed else EXIT_ASSERTION
+    })
 
 
 _COMMANDS = {
@@ -556,22 +551,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.dump_matrix_path is not None and args.command != "spectrum":
-        print(f"config error: --dump-matrix is read only by spectrum, not by "
-              f"{args.command}", file=sys.stderr)
-        return EXIT_CONFIG
+    args = build_parser().parse_args(argv)
     try:
         cfg = build_config(args)
     except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return _COMMANDS[args.command](cfg)
+        return _write_outputs(cfg, *_COMMANDS[cfg.command](cfg))
     except (KeyError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except AssumptionsFailed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_VALIDATION
     except (ConvergenceFailure, BoxTooSmall, DegenerateDecomposition) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

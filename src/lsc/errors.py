@@ -51,3 +51,7 @@ class Exhausted(LscError):
 
 class NonPositiveFunction(LscError):
     """A certificate function is not strictly positive on its region."""
+
+
+class AssumptionsFailed(LscError):
+    """A potential fails the assumption checks an experiment needs."""

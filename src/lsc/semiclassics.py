@@ -211,7 +211,6 @@ class KappaRow:
 
 @dataclass(frozen=True, eq=False)
 class KappaStudy:
-    omega: float
     rows: tuple[KappaRow, ...]
     deviation_orders: dict
 
@@ -222,9 +221,7 @@ class KappaStudy:
         return sorted({r.kappa for r in self.rows}, reverse=True)
 
 
-def harmonic_kappa_study(
-    omega: float, kappa_list: Sequence[float], n_max: int
-) -> KappaStudy:
+def harmonic_kappa_study(kappa_list: Sequence[float], n_max: int) -> KappaStudy:
     """Table of ``E_n(kappa) / kappa^2`` against ``2n + 1`` over a kappa sweep.
 
     Also fits, per level, the order of the deviation from successive log
@@ -260,7 +257,7 @@ def harmonic_kappa_study(
             if d1 > 0 and d2 > 0:
                 fits.append(math.log(d1 / d2) / math.log(k1 / k2))
         orders[n] = fits
-    return KappaStudy(omega=omega, rows=tuple(rows), deviation_orders=orders)
+    return KappaStudy(rows=tuple(rows), deviation_orders=orders)
 
 
 # ----------------------------------------------------------------------

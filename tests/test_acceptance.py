@@ -53,7 +53,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_harmonic_kappa_limit():
     t0 = time.perf_counter()
-    study = harmonic_kappa_study(1.0, list(KAPPA_GRID), 5)
+    study = harmonic_kappa_study(list(KAPPA_GRID), 5)
     elapsed = time.perf_counter() - t0
     worst_final = 0.0
     monotone = True

@@ -1,7 +1,9 @@
 """Tests for the command-line front end: CSV contracts, exit codes, config files."""
 
+import ast
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -411,7 +413,8 @@ class TestExitCodes:
         (["spectrum", "--kappa", "0.1", "--k", "0"], "k=0"),
         (["quasimode", "--nmax=-1"], "nmax=-1"),
         (["kappa", "--nmax=-1"], "nmax=-1"),
-    ], ids=["spectrum", "spectrum-kappa", "quasimode", "kappa"])
+        (["spectrum", "--potential", "free", "--M=-1"], "M must be nonnegative, got M=-1"),
+    ], ids=["spectrum", "spectrum-kappa", "quasimode", "kappa", "spectrum-M"])
     def test_negative_degree_names_the_flag(self, tmp_path, capsys, argv, flag):
         assert run(argv, tmp_path, out="d.csv") == cli.EXIT_CONFIG
         assert flag in capsys.readouterr().err
@@ -468,6 +471,65 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--dump-matrix" in err and command in err
         assert not (tmp_path / "m.txt").exists() and not (tmp_path / "o.csv").exists()
+
+    def test_kappa_omega_is_config_error(self, tmp_path, capsys):
+        # omega is absorbed into kappa (H_N = (N^2/2) H_kappa), so the kappa
+        # study cannot read it; the flag is refused instead of being recorded
+        code = run(["kappa", "--kappa", "0.2,0.1", "--nmax", "1", "--omega", "2"],
+                   tmp_path, out="k.csv", json="k.json")
+        assert code == cli.EXIT_CONFIG
+        assert "--omega is not read by kappa" in capsys.readouterr().err
+        assert not (tmp_path / "k.csv").exists() and not (tmp_path / "k.json").exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        ("spectrum --potential double_well --N 16,64 --k 2", "--N"),
+        ("spectrum --potential double_well --gamma 0,0.5 --k 2", "--gamma"),
+        ("spectrum --kappa 0.2,0.1 --k 2", "--kappa"),
+        ("ims --potential double_well --N 128,256 --nmax 0", "--N"),
+        ("ims --potential double_well --N 128 --gamma 0,0.5 --nmax 0", "--gamma"),
+        ("converge --potential harmonic --gamma 0,0.5 --N 32,64 --nmax 0", "--gamma"),
+        ("intervals --kappa 0.05,0.01 --nmax 1", "--kappa"),
+        ("regimes --omega 1,2 --gamma=-1 --N 2,4,8 --nmax 0", "--omega"),
+        ("sigma --potential two_well --omega 1,2 --count 4", "--omega"),
+        ("sigma --potential two_well --omega 1,2 --wells=-1.5,1.5 --count 4", "--omega"),
+    ], ids=["spectrum-N", "spectrum-gamma", "spectrum-kappa", "ims-N", "ims-gamma",
+            "converge-gamma", "intervals-kappa", "regimes-omega", "two_well-omega",
+            "two_well-wells-omega"])
+    def test_list_read_as_one_value_is_config_error(self, tmp_path, capsys, argv, flag):
+        # only the first value was read; the rest must not drop in silence
+        assert run(argv.split(), tmp_path, out="o.csv") == cli.EXIT_CONFIG
+        assert f"{flag} takes one value here, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        ("sigma --potential harmonic --wells 1,5",
+         "--wells is not read by potential harmonic"),
+        ("sigma --potential double_well --wells 1,5",
+         "--wells is not read by potential double_well"),
+        ("converge --wells=-1,1 --N 32,64", "--wells is not read by potential harmonic"),
+        ("sigma --potential double_well --omega 3",
+         "--omega is not read by potential double_well"),
+        ("validate --potential double_well_2d --omega 3",
+         "--omega is not read by potential double_well_2d"),
+    ], ids=["harmonic-wells", "double_well-wells", "default-wells", "double_well-omega",
+            "double_well_2d-omega"])
+    def test_flag_the_potential_ignores_is_config_error(self, tmp_path, capsys, argv,
+                                                        message):
+        # only two_well reads --wells, and the double wells have fixed frequencies
+        assert run(argv.split(), tmp_path, out="o.csv") == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_failed_assumptions_exit_3_without_files(self, tmp_path, capsys):
+        register_potential("dipped_converge", lambda: Potential(
+            dimension=1, evaluator=lambda pts: pts[:, 0] ** 2 - 0.1, wells=(),
+            positivity_radius=2.0, positivity_floor=1.0, name="dipped_converge"))
+        code = run(["converge", "--potential", "dipped_converge", "--N", "8,16"],
+                   tmp_path, out="c.csv", json="c.json")
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "assumption validation failed; see `lsc validate`\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_degenerate_decomposition_is_solver_error(self, tmp_path):
         code = run(["intervals", "--nmax", "2", "--kappa", "0.9"], tmp_path)
@@ -558,40 +620,106 @@ class TestImsCommand:
         assert summary["measured_constants"]["identity_residual"] <= 1e-12
 
 
-# every flag with a value, and the RunConfig field it fills
-FLAG_FIELDS = [
-    ("--potential", "two_well", "potential", "two_well"),
-    ("--omega", "1,2", "omega", [1.0, 2.0]),
-    ("--wells=-1.5,1.5", None, "wells", [-1.5, 1.5]),
-    ("--gamma=-1,0.5", None, "gammas", [-1.0, 0.5]),
-    ("--N", "8,16", "Ns", [8, 16]),
-    ("--kappa", "0.2,0.1", "kappas", [0.2, 0.1]),
-    ("--nmax", "3", "nmax", 3),
-    ("--delta-spike", "0.25", "delta_spike", 0.25),
-    ("--delta-cut", "0.2", "delta_cut", 0.2),
-    ("--epsilon", "0.1", "epsilon", 0.1),
-    ("--count", "9", "count", 9),
-    ("--M", "5", "M", 5),
-    ("--k", "4", "k", 4),
-    ("--out", "o.csv", "out", "o.csv"),
-    ("--json", "s.json", "json_path", "s.json"),
-    ("--dump-matrix", "m.txt", "dump_matrix_path", "m.txt"),
-    ("--scan-radius", "6", "scan_radius", 6.0),
-    ("--grid-step", "0.02", "grid_step", 0.02),
-]
+# every flag (by config key): a command-line value, a config-file value, the
+# RunConfig field it fills and the value the command line gives
+FLAG_VALUES = {
+    "potential": ("two_well", "harmonic", "potential", "two_well"),
+    "omega": ("1,2", "3", "omega", [1.0, 2.0]),
+    "wells": ("-1.5,1.5", "0,1", "wells", [-1.5, 1.5]),
+    "gamma": ("-1,0.5", "0", "gammas", [-1.0, 0.5]),
+    "N": ("8,16", "4", "Ns", [8, 16]),
+    "kappa": ("0.2,0.1", "0.3", "kappas", [0.2, 0.1]),
+    "nmax": ("3", "1", "nmax", 3),
+    "delta_spike": ("0.25", "0.1", "delta_spike", 0.25),
+    "delta_cut": ("0.2", "0.1", "delta_cut", 0.2),
+    "epsilon": ("0.1", "0.3", "epsilon", 0.1),
+    "count": ("9", "3", "count", 9),
+    "M": ("5", "2", "M", 5),
+    "k": ("4", "1", "k", 4),
+    "out": ("o.csv", "x.csv", "out", "o.csv"),
+    "json": ("s.json", "x.json", "json_path", "s.json"),
+    "dump_matrix": ("m.txt", "x.txt", "dump_matrix_path", "m.txt"),
+    "scan_radius": ("6", "1", "scan_radius", 6.0),
+    "grid_step": ("0.02", "0.5", "grid_step", 0.02),
+}
+WRITER_KEYS = ("out", "json")
+
+
+def flag_of(key):
+    return "--" + key.replace("_", "-")
+
+
+def handler_reads(name, tree, seen=()):
+    """Config keys of the ``cfg.<field>`` reads in module function ``name`` and in
+    every module function it passes ``cfg`` to."""
+    fields = {flag.field: key for key, flag in cli._FLAGS.items()}
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    reads = set()
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "cfg"):
+            reads.add(fields.get(node.attr, node.attr))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and any(isinstance(a, ast.Name) and a.id == "cfg" for a in node.args)
+                and node.func.id not in seen):
+            reads |= handler_reads(node.func.id, tree, seen + (name,))
+    return reads
 
 
 class TestParseContract:
+    def test_the_table_covers_every_flag(self):
+        assert set(FLAG_VALUES) == set(cli._FLAGS)
+        assert set(cli._READS) == set(cli._COMMANDS)
+        # each command takes its read flags, --out, --json and --config
+        assert sum(len(keys) + 3 for keys in cli._READS.values()) == 72
+
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_every_command_takes_every_flag(self, tmp_path, command):
+    def test_every_read_flag_overrides_the_config_file(self, tmp_path, command):
+        keys = [*cli._READS[command], *WRITER_KEYS]
         config = tmp_path / "run.cfg"
-        config.write_text("count = 3\nepsilon = 0.3\n")
+        config.write_text("".join(f"{k} = {FLAG_VALUES[k][1]}\n" for k in keys))
+        from_file = cli.build_config(cli.build_parser().parse_args(
+            [command, "--config", str(config)]))
+        assert from_file == cli.RunConfig(command=command, **{
+            FLAG_VALUES[k][2]: cli._FLAGS[k].convert(FLAG_VALUES[k][1]) for k in keys})
         argv = [command, "--config", str(config)]
-        for flag, value, _, _ in FLAG_FIELDS:
-            argv += [flag] if value is None else [flag, value]
+        argv += [f"{flag_of(k)}={FLAG_VALUES[k][0]}" for k in keys]
         got = cli.build_config(cli.build_parser().parse_args(argv))
-        want = cli.RunConfig(command=command, **{f: v for _, _, f, v in FLAG_FIELDS})
-        assert got == want  # the flags override both config entries
+        assert got == cli.RunConfig(command=command,
+                                    **{FLAG_VALUES[k][2]: FLAG_VALUES[k][3] for k in keys})
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_unread_flag_and_key_exits_2(self, tmp_path, capsys, monkeypatch,
+                                               command):
+        # refused before the handler runs (it is replaced by None) and before
+        # any file is written
+        monkeypatch.setattr(cli, "_COMMANDS", {**cli._COMMANDS, command: None})
+        unread = [k for k in cli._FLAGS if k not in cli._READS[command] + WRITER_KEYS]
+        assert unread
+        config = tmp_path / "run.cfg"
+        for key in unread:
+            config.write_text(f"{key} = {FLAG_VALUES[key][0]}\n")
+            for argv in ([command, f"{flag_of(key)}={FLAG_VALUES[key][0]}"],
+                         [command, "--config", str(config)]):
+                assert run(argv, tmp_path) == cli.EXIT_CONFIG
+                err = capsys.readouterr().err
+                assert f"{flag_of(key)} is not read by {command}" in err, argv
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_read_table_matches_the_handler(self, command):
+        # the cfg fields each handler touches, through the helpers it passes
+        # cfg to, are exactly its row of the read table
+        tree = ast.parse(inspect.getsource(cli))
+        assert handler_reads(cli._COMMANDS[command].__name__, tree) == set(
+            cli._READS[command])
+
+    def test_help_names_the_commands_that_read_each_flag(self):
+        text = " ".join(cli.build_parser().format_help().split())
+        assert "triplet dump path; read by spectrum " in text
+        assert "number of enumerated values; read by sigma " in text
+        assert "JSON summary path; read by every command" in text
 
     @pytest.mark.parametrize("argv", [["frobnicate"], [], ["sigma", "--bogus", "1"]],
                              ids=["unknown-command", "missing-command", "unknown-flag"])

@@ -236,7 +236,7 @@ class TestGrowthExponent:
 
 class TestKappaStudy:
     def test_ratios_decrease_toward_targets(self):
-        study = harmonic_kappa_study(1.0, [0.2, 0.1, 0.05], 2)
+        study = harmonic_kappa_study([0.2, 0.1, 0.05], 2)
         for n in range(3):
             devs = study.deviations(n)
             assert all(d2 < d1 for d1, d2 in zip(devs, devs[1:]))
@@ -247,12 +247,12 @@ class TestKappaStudy:
     def test_deviations_below_regression_level(self):
         # frozen from the bisection solver run: worst level-5 deviation at
         # kappa = 0.1 is 0.0383
-        study = harmonic_kappa_study(1.0, [0.1], 5)
+        study = harmonic_kappa_study([0.1], 5)
         assert max(r.abs_err for r in study.rows) < 0.05
 
     def test_ritz_consistency(self):
         kappa = 0.1
-        study = harmonic_kappa_study(1.0, [kappa], 3)
+        study = harmonic_kappa_study([kappa], 3)
         box = LatticeBox.centered(1, hermite.box_halfwidth(3, kappa))
         op = lattice.assemble_Hkappa(kappa, box)
         xs = box.coords().astype(float)
@@ -264,7 +264,7 @@ class TestKappaStudy:
 
     def test_requires_descending_kappas(self):
         with pytest.raises(ValueError):
-            harmonic_kappa_study(1.0, [0.05, 0.1], 1)
+            harmonic_kappa_study([0.05, 0.1], 1)
 
 
 class TestConvergeStudy:
