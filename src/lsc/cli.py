@@ -339,13 +339,24 @@ def _write_outputs(cfg: RunConfig, header: list[str], rows: list[tuple], exit_co
 # subcommands
 # ----------------------------------------------------------------------
 
+def _reject_unread(route: str, **given) -> None:
+    """Reject each flag (keyword by config key) that is set: ``route`` ignores it."""
+    for key, value in given.items():
+        if value is not None:
+            raise ValueError(f"{_flag_name(key)} is not read by spectrum {route}")
+
+
 def cmd_spectrum(cfg: RunConfig) -> _Output:
     k = _default(cfg.k, 6)
     if cfg.potential == "free":
+        _reject_unread("--potential free", omega=cfg.omega, wells=cfg.wells,
+                       gamma=cfg.gammas, N=cfg.Ns, kappa=cfg.kappas)
         M = _default(cfg.M, 1)
         op = lattice.assemble_laplacian(LatticeBox.centered(1, M))
         values = eigensolve.eigs_tridiag(op, k).values
     elif cfg.kappas:
+        _reject_unread("--kappa", potential=cfg.potential, omega=cfg.omega,
+                       wells=cfg.wells, gamma=cfg.gammas, N=cfg.Ns)
         kappa = _single(cfg.kappas, None, "kappa")
         M = _default(cfg.M, hermite.box_halfwidth(k - 1, kappa))
         op = lattice.assemble_Hkappa(kappa, LatticeBox.centered(1, M))
@@ -461,20 +472,19 @@ def cmd_quasimode(cfg: RunConfig) -> _Output:
     ritz_ok = True
     for kappa in kappas:
         box = LatticeBox.centered(1, hermite.box_halfwidth(n_max, kappa))
-        xs = box.coords().astype(float)
         op = lattice.assemble_Hkappa(kappa, box)
         spectrum = eigensolve.eigs_tridiag(op, n_max + 1).values
-        quasimodes = [hermite.weighted_eval(n, kappa * xs) for n in range(n_max + 1)]
-        thetas = eigensolve.subspace_upper_bounds(op, quasimodes)
-        for n in range(n_max + 1):
-            psi, resid = hermite.quasimode_apply(n, kappa, box)
+        # each quasimode is sampled once: its tail check there implies gram_entry's
+        applied = [hermite.quasimode_apply(n, kappa, box) for n in range(n_max + 1)]
+        thetas = eigensolve.subspace_upper_bounds(op, [psi for psi, _ in applied])
+        for n, (psi, resid) in enumerate(applied):
             sup = float(np.abs(resid).max())
             gram_dev = abs(
-                hermite.gram_entry(n, n, kappa, box)
+                math.fsum(psi * psi)
                 - math.sqrt(math.pi) * 2.0**n * math.factorial(n) / kappa
             )
             x0 = int(np.abs(resid).argmax())
-            cross = abs(resid[x0] + hermite.residual_integral(n, kappa, int(xs[x0])))
+            cross = abs(resid[x0] + hermite.residual_integral(n, kappa, box.lo[0] + x0))
             cross_worst = max(cross_worst, cross)
             if thetas[n] < spectrum[n] - 1e-12 * (1.0 + abs(spectrum[n])):
                 ritz_ok = False

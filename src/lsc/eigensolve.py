@@ -75,6 +75,8 @@ def _as_tridiagonal(op) -> tuple[np.ndarray, np.ndarray]:
     off = np.asarray(off, dtype=float)
     if diag.ndim != 1 or off.shape != (max(diag.size - 1, 0),):
         raise ValueError("expected a (diagonal, offdiagonal) tridiagonal pair")
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
     return diag, off
 
 
@@ -108,22 +110,61 @@ class NodalReport:
     symmetry: str | None = None
 
 
-def _stebz(diag: np.ndarray, off: np.ndarray, k: int, abstol: float) -> np.ndarray:
-    """Lowest ``k`` eigenvalues of a finite tridiagonal pair by one LAPACK
-    ``dstebz`` call at absolute tolerance ``abstol``: a LAPACK argument error
-    (``info < 0``) raises ``ValueError``, a bisection failure (``info > 0``)
-    or fewer than ``k`` values raise :class:`ConvergenceFailure`."""
+def _stebz(diag: np.ndarray, off: np.ndarray, k: int, abstol: float):
+    """Lowest ``k`` eigenvalues of a finite tridiagonal pair by the one LAPACK
+    ``dstebz`` call at absolute tolerance ``abstol``, in the block order that
+    ``dstein`` takes (sorted, they equal the ascending ``"E"`` order), with
+    ``iblock`` and ``isplit``.  ``info < 0`` raises ``ValueError``; ``info > 0``
+    or a short return raises :class:`ConvergenceFailure`."""
     if diag.size == 1:
-        return diag.copy()
-    m, values, _, _, info = scipy.linalg.lapack.dstebz(
-        diag, off, 2, 0.0, 1.0, 1, k, abstol, "E")
+        return diag.copy(), np.ones(1, np.int32), np.ones(1, np.int32)
+    m, values, iblock, isplit, info = scipy.linalg.lapack.dstebz(
+        diag, off, 2, 0.0, 1.0, 1, k, abstol, "B")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal dstebz")
     if info > 0:
         raise ConvergenceFailure(f"dstebz did not converge (LAPACK info={info})")
-    if m < k:
+    if m != k:
         raise ConvergenceFailure(f"dstebz returned {m} of {k} eigenvalues")
-    return values[:k]
+    return values[:k], iblock, isplit
+
+
+def _stein(diag: np.ndarray, off: np.ndarray, values: np.ndarray, iblock: np.ndarray,
+           isplit: np.ndarray) -> np.ndarray:
+    """Eigenvectors (columns) for block-ordered ``values`` by the one LAPACK
+    ``dstein`` call: inverse iteration, re-orthogonalized within clusters.
+    ``info < 0`` raises ``ValueError``; ``info > 0`` :class:`ConvergenceFailure`."""
+    if diag.size == 1:
+        return np.ones((1, values.size))
+    vectors, info = scipy.linalg.lapack.dstein(diag, off, values, iblock, isplit)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal dstein")
+    if info > 0:
+        raise ConvergenceFailure(f"{info} eigenvectors failed to converge in dstein")
+    return vectors
+
+
+def _signed_residuals(diag: np.ndarray, off: np.ndarray, values: np.ndarray,
+                      vectors: np.ndarray) -> np.ndarray:
+    """Flip each column of ``vectors`` in place so that its first entry above
+    ``1e-12`` of its sup norm is positive, and return the residual norms
+    ``|Hv - lam v|``.  A residual above ``1e-8 (1 + |lam|)`` (or NaN) raises
+    :class:`ConvergenceFailure`."""
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    vectors *= np.where(vectors[first, np.arange(values.size)] < 0, -1.0, 1.0)
+    hv = diag[:, None] * vectors
+    hv[:-1] += off[:, None] * vectors[1:]
+    hv[1:] += off[:, None] * vectors[:-1]
+    residuals = np.linalg.norm(hv - values * vectors, axis=0)
+    tol = RESIDUAL_RTOL * (1.0 + np.abs(values))
+    if not np.all(residuals <= tol):
+        worst = int(np.argmax(residuals / tol))  # a NaN counts as the worst
+        raise ConvergenceFailure(
+            f"eigenvector {worst} has residual {residuals[worst]:.1e} "
+            f"above {tol[worst]:.1e}"
+        )
+    return residuals
 
 
 def eigs_tridiag(op, k: int) -> SpectrumResult:
@@ -140,9 +181,7 @@ def eigs_tridiag(op, k: int) -> SpectrumResult:
     diag, off = _as_tridiagonal(op)
     if not 1 <= k <= diag.size:
         raise ValueError(f"k={k} out of range for size {diag.size}")
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    return SpectrumResult(values=_stebz(diag, off, k, _STEBZ_TOL),
+    return SpectrumResult(values=np.sort(_stebz(diag, off, k, _STEBZ_TOL)[0]),
                           box=getattr(op, "box", None))
 
 
@@ -247,105 +286,45 @@ def dense_eigvalsh(op) -> np.ndarray:
     return np.linalg.eigvalsh(A)
 
 
-def _tridiag_matvec(diag, off, v):
-    w = diag * v
-    if off.size:
-        w[:-1] += off * v[1:]
-        w[1:] += off * v[:-1]
-    return w
+def eigvec_inverse_iteration(op, lam: float) -> np.ndarray:
+    """Normalized eigenvector for a computed eigenvalue ``lam``: one LAPACK
+    ``dstein`` inverse iteration with the whole matrix as one block.
 
-
-def eigvec_inverse_iteration(
-    op,
-    lam: float,
-    *,
-    orthogonal_to: Sequence[np.ndarray] = (),
-    max_iter: int = 100,
-    seed: int = 1234,
-) -> np.ndarray:
-    """Normalized eigenvector for a computed eigenvalue, by inverse iteration.
-
-    The residual contract ``|Hv - lam v| <= 1e-8 (1 + |lam|)`` is enforced;
-    exceeding ``max_iter`` raises :class:`ConvergenceFailure`.  The sign is
-    normalized so the first nonzero entry is positive.  Vectors in
-    ``orthogonal_to`` are projected out each step (degenerate-pair path).
+    The sign and residual rules are those of :func:`eigenpairs`: the first
+    entry above ``1e-12`` of the sup norm is positive, and a residual
+    ``|Hv - lam v|`` above ``1e-8 (1 + |lam|)`` raises
+    :class:`ConvergenceFailure`.
     """
     diag, off = _as_tridiagonal(op)
-    n = diag.size
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    shift = lam
-    ab = np.zeros((3, n))
-    ab[0, 1:] = off
-    ab[2, :-1] = off
-    tol = RESIDUAL_RTOL * (1.0 + abs(lam))
-    for _ in range(max_iter):
-        ab[1, :] = diag - shift
-        try:
-            w = scipy.linalg.solve_banded((1, 1), ab, v)
-        except np.linalg.LinAlgError:
-            shift = lam + 1e-13 * (1.0 + abs(lam))
-            continue
-        if not np.all(np.isfinite(w)):
-            shift = lam + 1e-13 * (1.0 + abs(lam))
-            continue
-        for u in orthogonal_to:
-            w -= np.dot(u, w) * u
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / nrm
-        resid = np.linalg.norm(_tridiag_matvec(diag, off, v) - lam * v)
-        if resid <= tol:
-            first = np.flatnonzero(np.abs(v) > 1e-12 * np.abs(v).max())
-            if first.size and v[first[0]] < 0:
-                v = -v
-            return v
-    raise ConvergenceFailure(
-        f"inverse iteration did not reach residual {tol:.1e} in {max_iter} steps"
-    )
+    if not np.isfinite(lam):
+        raise ValueError("eigenvalue must be finite")
+    values = np.array([lam], dtype=float)
+    block = np.ones(diag.size, np.int32)  # iblock = 1; isplit = n (only entry 1 is read)
+    vectors = _stein(diag, off, values, block, diag.size * block)
+    _signed_residuals(diag, off, values, vectors)
+    return vectors[:, 0]
 
 
 def eigenpairs(op, k: int) -> SpectrumResult:
-    """Lowest ``k`` eigenpairs from LAPACK ``dstebz`` + ``dstein``.
+    """Lowest ``k`` eigenpairs from LAPACK ``dstebz`` + ``dstein``, ascending.
 
     ``dstein`` re-orthogonalizes vectors within clusters of close values.
     Each vector's first entry above ``1e-12`` of its sup norm is positive.
     The residual contract ``|Hv - lam v| <= 1e-8 (1 + |lam|)`` is checked;
-    a breach raises :class:`ConvergenceFailure`.
+    a breach raises :class:`ConvergenceFailure`.  Values and vectors equal
+    those of ``scipy.linalg.eigh_tridiagonal(..., lapack_driver="stebz")``
+    at the same tolerance, up to the sign rule.
     """
     diag, off = _as_tridiagonal(op)
     if not 1 <= k <= diag.size:
         raise ValueError(f"k={k} out of range for size {diag.size}")
-    try:
-        values, vectors = scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, k - 1),
-            lapack_driver="stebz", tol=_STEBZ_TOL,
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    mags = np.abs(vectors)
-    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
-    vectors *= np.where(vectors[first, np.arange(k)] < 0, -1.0, 1.0)
-    residuals = np.linalg.norm(
-        _tridiag_matvec(diag[:, None], off[:, None], vectors) - values * vectors, axis=0
-    )
-    tol = RESIDUAL_RTOL * (1.0 + np.abs(values))
-    if np.any(residuals > tol):
-        worst = int(np.argmax(residuals / tol))
-        raise ConvergenceFailure(
-            f"eigenvector {worst} has residual {residuals[worst]:.1e} "
-            f"above {tol[worst]:.1e}"
-        )
-    return SpectrumResult(
-        values=values,
-        vectors=vectors,
-        residual_norms=residuals,
-        box=getattr(op, "box", None),
-    )
+    values, iblock, isplit = _stebz(diag, off, k, _STEBZ_TOL)
+    vectors = _stein(diag, off, values, iblock, isplit)
+    order = np.argsort(values)
+    values, vectors = values[order], vectors[:, order]
+    residuals = _signed_residuals(diag, off, values, vectors)
+    return SpectrumResult(values=values, vectors=vectors, residual_norms=residuals,
+                          box=getattr(op, "box", None))
 
 
 def k_smallest_sums(lists: Sequence[Sequence[float]], k: int):
@@ -510,8 +489,8 @@ def converged_spectrum(
         if cur.values[-1] - tol[-1] < floor:
             abstol = 0.5 * float(tol.min())
             _, off = op.tridiagonal()
-            neu = _stebz(op.diagonal - op.coupling * op.dropped_neighbor_count(),
-                         off, k, abstol)
+            neu = np.sort(_stebz(op.diagonal - op.coupling * op.dropped_neighbor_count(),
+                                 off, k, abstol)[0])
             width = cur.values - (neu - abstol)
             if neu[-1] + abstol < floor and np.all(width <= tol):
                 return dataclasses.replace(cur, truncation_width=np.maximum(width, 0.0))

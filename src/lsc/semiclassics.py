@@ -217,9 +217,6 @@ class KappaStudy:
     def deviations(self, n: int) -> list[float]:
         return [r.abs_err for r in self.rows if r.n == n]
 
-    def kappas(self) -> list[float]:
-        return sorted({r.kappa for r in self.rows}, reverse=True)
-
 
 def harmonic_kappa_study(kappa_list: Sequence[float], n_max: int) -> KappaStudy:
     """Table of ``E_n(kappa) / kappa^2`` against ``2n + 1`` over a kappa sweep.

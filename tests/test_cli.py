@@ -25,6 +25,17 @@ from lsc.potentials import (
 )
 
 
+# each spectrum route that ignores flags the command reads elsewhere: its argv and
+# those flags
+SPECTRUM_ROUTES = {
+    "--potential free": ("spectrum --potential free --M 1 --k 3",
+                         ("--omega=5", "--wells=-1,1", "--gamma=0", "--N=64", "--kappa=0.1")),
+    "--kappa": ("spectrum --kappa 0.1 --k 2",
+                ("--potential=double_well", "--omega=5", "--wells=-1,1", "--gamma=0",
+                 "--N=64")),
+}
+
+
 def run(args, tmp_path, **paths):
     argv = list(args)
     for flag, name in paths.items():
@@ -518,6 +529,17 @@ class TestExitCodes:
         # only two_well reads --wells, and the double wells have fixed frequencies
         assert run(argv.split(), tmp_path, out="o.csv") == cli.EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("route,flag", [
+        (route, flag) for route, (_, flags) in SPECTRUM_ROUTES.items() for flag in flags])
+    def test_flag_the_spectrum_route_ignores_is_config_error(self, tmp_path, capsys,
+                                                              route, flag):
+        # the free Laplacian and H_kappa take no potential, scaling or mesh flags
+        argv = [*SPECTRUM_ROUTES[route][0].split(), flag]
+        assert run(argv, tmp_path, out="o.csv") == cli.EXIT_CONFIG
+        name = flag.partition("=")[0]
+        assert f"{name} is not read by spectrum {route}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_failed_assumptions_exit_3_without_files(self, tmp_path, capsys):

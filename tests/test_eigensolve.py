@@ -1,6 +1,8 @@
 """Tests for the LAPACK tridiagonal solver and the spectral diagnostics."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +277,108 @@ class TestExtendedPrecisionOracle:
         want = longdouble_hkappa_lowest(kappa, M, got)
         rel = np.abs((got.astype(np.longdouble) - want) / want)
         assert float(rel.max()) <= bound
+
+
+def sign_rule(vectors):
+    """Flip each column so its first entry above 1e-12 of its sup norm is positive."""
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    return vectors * np.where(vectors[first, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+
+
+class TestEigenpairsContract:
+    """``eigenpairs`` calls ``dstebz`` and ``dstein`` directly; it must return
+    exactly what ``scipy.linalg.eigh_tridiagonal`` returns with the same driver
+    and tolerance, after the sign rule, and keep that wrapper's checks."""
+
+    @given(tridiagonals())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_scipy_wrapper(self, case):
+        diag, off, k = case
+        values, vectors = scipy.linalg.eigh_tridiagonal(
+            diag, off, select="i", select_range=(0, k - 1),
+            lapack_driver="stebz", tol=2 * np.finfo(float).tiny)
+        got = eigenpairs((diag, off), k)
+        assert got.values.dtype == values.dtype
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.vectors, sign_rule(vectors))
+
+    def test_one_by_one(self):
+        got = eigenpairs((np.array([-2.5]), np.zeros(0)), 1)
+        assert np.array_equal(got.values, [-2.5]) and np.array_equal(got.vectors, [[1.0]])
+        assert np.array_equal(eigvec_inverse_iteration((np.array([-2.5]), np.zeros(0)),
+                                                       -2.5), [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diag", "off"])
+    def test_non_finite_input_raises(self, bad, where):
+        diag, off = np.linspace(0.0, 1.0, 6), -np.ones(5)
+        (diag if where == "diag" else off)[2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigenpairs((diag, off), 2)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigvec_inverse_iteration((diag, off), 0.5)
+
+    def test_non_finite_eigenvalue_raises(self):
+        with pytest.raises(ValueError, match="finite"):
+            eigvec_inverse_iteration((np.linspace(0.0, 1.0, 6), -np.ones(5)), np.nan)
+
+    def test_k_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            eigenpairs((np.ones(3), -np.ones(2)), 4)
+
+    def test_stein_failure_raises(self, monkeypatch):
+        def unconverged(diag, off, w, iblock, isplit):
+            return np.zeros((diag.size, w.size)), 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", unconverged)
+        op = (np.array([1.0, 2.0, 3.0]), np.array([-0.5, -0.5]))
+        with pytest.raises(ConvergenceFailure, match="1 eigenvectors failed"):
+            eigenpairs(op, 2)
+        with pytest.raises(ConvergenceFailure, match="1 eigenvectors failed"):
+            eigvec_inverse_iteration(op, 0.5)
+
+    def test_stebz_failure_raises(self, monkeypatch):
+        def unconverged(diag, off, *args):
+            return 2, np.zeros(diag.size), np.ones(diag.size), np.ones(diag.size), 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", unconverged)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            eigenpairs((np.array([1.0, 2.0, 3.0]), np.array([-0.5, -0.5])), 2)
+
+    def test_wrong_eigenvalue_breaks_the_residual_contract(self):
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            eigvec_inverse_iteration((np.array([0.0, 1.0]), np.zeros(1)), 0.5)
+
+
+class TestSingleLapackPath:
+    """Every tridiagonal eigenvalue and eigenvector in ``lsc`` goes through one
+    ``dstebz`` call site and one ``dstein`` call site, in their private helpers."""
+
+    SOURCES = sorted(Path(eigensolve.__file__).parent.glob("*.py"))
+    BANNED = ("eigh_tridiagonal", "eigvalsh_tridiagonal", "solve_banded",
+              "get_lapack_funcs")
+
+    @staticmethod
+    def references(path):
+        """``(module, top-level definition or None, name)`` for every name,
+        attribute and import in a module."""
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    yield path.stem, owner, node.id
+                elif isinstance(node, ast.Attribute):
+                    yield path.stem, owner, node.attr
+                elif isinstance(node, ast.alias):
+                    yield path.stem, owner, node.name.rpartition(".")[2]
+
+    def test_one_call_site_per_routine(self):
+        refs = [r for path in self.SOURCES for r in self.references(path)]
+        assert [r for r in refs if r[2] == "dstebz"] == [("eigensolve", "_stebz", "dstebz")]
+        assert [r for r in refs if r[2] == "dstein"] == [("eigensolve", "_stein", "dstein")]
+        assert [r for r in refs if r[2] in self.BANNED] == []
 
 
 class TestEigenvectors:
