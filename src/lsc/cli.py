@@ -70,17 +70,97 @@ def _fmt_column(column: list, lone: bool):
     return cells
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    """Write ``header`` and equal-width ``rows`` byte for byte as ``csv.writer`` does.  A
-    column of plain floats or plain ints is formatted by one ``map``; any other is scanned
-    once and quoted as under ``csv.QUOTE_MINIMAL``.  Lines end in ``\\r\\n``."""
-    # itemgetter per column rather than zip(*rows), which makes one iterator per row
-    width = len(rows[0]) if rows else 0
-    columns = [_fmt_column(list(map(itemgetter(i), rows)), width == 1)
-               for i in range(width)]
-    lines = map(",".join, zip(*columns))
+def _int_field(values: np.ndarray) -> np.ndarray:
+    """Decimal text of each integer (a bool as 0 or 1), one row each, right-aligned
+    and left-padded with NUL bytes."""
+    negative = values < 0
+    rest = values.astype(np.uint64)
+    np.negative(rest, out=rest, where=negative)  # modulo 2**64: |v|, also for the minimum
+    width = len(str(int(rest.max(initial=0))))
+    columns = np.zeros((width + 1, values.size), dtype=np.uint8)  # row 0 for a sign
+    for col in range(width, 0, -1):
+        quotient = rest // 10  # a scalar divisor: much faster than divmod or %
+        digit = rest - quotient * 10 + ord("0")
+        columns[col] = digit if col == width else digit * (rest > 0)  # no leading zeros
+        rest = quotient
+    if not negative.any():
+        return np.ascontiguousarray(columns[1:].T)
+    lead = np.count_nonzero(columns == 0, axis=0) - 1  # the sign goes left of the digits
+    columns[lead[negative], np.flatnonzero(negative)] = ord("-")
+    return np.ascontiguousarray(columns.T)
+
+
+def _float_field(values: np.ndarray) -> np.ndarray:
+    """``{:.17g}`` text of each float, one row each, right-padded with NUL bytes.
+    Each distinct float (by bit pattern, so -0.0 and NaN keep their text) is
+    formatted once, all in one ``%`` pass."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    texts = (("%.17g\n" * len(distinct)) % tuple(distinct)).encode().split()
+    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)[inverse]
+
+
+def _text_field(text: bytes, rows: int) -> np.ndarray:
+    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
+
+
+_CSV_SPECIAL_BYTES = tuple(c.encode() for c in _CSV_SPECIALS)
+
+
+def _table_text(table: np.ndarray) -> str | None:
+    """CSV body of a structured array whose fields are bool, int, float64 (or
+    narrower float) or bytes of ASCII text, as ``csv.writer`` writes its
+    ``tolist()`` rows; ``None`` where a field needs quoting or the per-cell path
+    (another type, a lone field)."""
+    if len(table.dtype.names or ()) < 2:
+        return None
+    if table.size == 0:
+        return ""
+    fields = []
+    for name in table.dtype.names:
+        column = table[name]
+        kind, size = column.dtype.kind, column.dtype.itemsize
+        if column.ndim != 1 or kind not in "biufS" or (kind == "f" and size > 8):
+            return None
+        if kind == "S":
+            field = np.ascontiguousarray(column)
+            if any(map(field.tobytes().__contains__, _CSV_SPECIAL_BYTES)):
+                return None
+            field = field.view(np.uint8).reshape(table.size, size)
+        elif kind == "f":
+            field = _float_field(column.astype(np.float64))
+        else:
+            field = _int_field(column)
+        fields += [field, _text_field(b",", table.size)]
+    fields[-1] = _text_field(b"\r\n", table.size)  # the last separator ends the line
+    return np.hstack(fields).tobytes().replace(b"\0", b"").decode("ascii")
+
+
+def write_csv(path: str, header: list[str], rows: list[tuple] | np.ndarray) -> None:
+    """Write ``header`` and equal-width ``rows`` byte for byte as ``csv.writer`` does.
+
+    ``rows`` is a list of tuples or a NumPy structured array, one field per
+    column, which is written as its ``tolist()`` rows would be; a bytes field
+    holds ASCII text, and its NUL bytes are padding wherever they sit.  A
+    structured array of bool, int, float and unquoted bytes fields is laid out
+    as NUL-padded byte rows (each distinct float formatted once), and the
+    padding is dropped in one pass.  Otherwise a column of plain floats or plain
+    ints is formatted by one ``map``, and any other is scanned once and quoted
+    as under ``csv.QUOTE_MINIMAL``.  Lines end in ``\r\n``."""
+    body = _table_text(rows) if isinstance(rows, np.ndarray) else None
+    if body is None and isinstance(rows, np.ndarray):
+        rows = [tuple(v.replace(b"\0", b"").decode("ascii") if isinstance(v, bytes)
+                      else v for v in row) for row in rows.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_fmt_column(header, len(header) == 1)) + "\r\n")
+        if body is not None:
+            fh.write(body)
+            return
+        # itemgetter per column rather than zip(*rows), which makes one iterator per row
+        width = len(rows[0]) if rows else 0
+        columns = [_fmt_column(list(map(itemgetter(i), rows)), width == 1)
+                   for i in range(width)]
+        lines = map(",".join, zip(*columns))
         while chunk := list(islice(lines, _CSV_CHUNK_LINES)):
             fh.write("\r\n".join(chunk) + "\r\n")
 
@@ -91,44 +171,21 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _index_digits(n: int) -> np.ndarray:
-    """Decimal text of ``0 .. n - 1``, one row each, left-padded with NUL bytes."""
-    digits = np.empty((n, len(str(max(n - 1, 0)))), dtype=np.uint8)
-    rest = np.arange(n)
-    for power, col in enumerate(reversed(range(digits.shape[1]))):
-        rest, digit = np.divmod(rest, 10)
-        digits[:, col] = digit + ord("0")
-        digits[: 10**power if power else 0, col] = 0  # no digit here below 10**power
-    return digits
-
-
-def _distinct_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """``{:.17g}`` text of each distinct float (bit pattern, so -0.0 and NaN keep
-    their text), each formatted once, and the index of every value's text."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return [format(v, ".17g") for v in bits.view(np.float64).tolist()], inverse
-
-
-def _text_field(text: bytes, rows: int) -> np.ndarray:
-    return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
-
-
 def dump_matrix(path: str, op) -> None:
     """Coordinate-triplet text dump (row, col, value) of an assembled operator.  Each
     distinct diagonal float is formatted once; lines are laid out as NUL-padded byte
     rows (no field holds a NUL) and the padding is dropped in one pass."""
     i, j = op.box.neighbor_index_pairs()
-    digits = _index_digits(op.size)
-    texts, inverse = _distinct_texts(op.diagonal)
-    values = np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
+    digits = _int_field(np.arange(op.size))
     space, newline = _text_field(b" ", op.size), _text_field(b"\n", op.size)
     pair_space = _text_field(b" ", i.size)
     entry = _text_field(f" {_fmt(-float(op.coupling))}\n".encode(), i.size)
+    di, dj = digits[i], digits[j]
     with open(path, "wb") as fh:
-        for block in (np.hstack([digits, space, digits, space, values[inverse], newline]),
-                      np.hstack([digits[i], pair_space, digits[j], entry,
-                                 digits[j], pair_space, digits[i], entry])):
-            fh.write(block[block != 0].tobytes())
+        for block in (np.hstack([digits, space, digits, space, _float_field(op.diagonal),
+                                 newline]),
+                      np.hstack([di, pair_space, dj, entry, dj, pair_space, di, entry])):
+            fh.write(block.tobytes().replace(b"\0", b""))
 
 
 def _parse_config_file(path: str) -> dict:
@@ -272,13 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge the config file and the flags (flags win); a key the command does not
-    read is a ``ValueError`` naming its flag and the command."""
+    read, or a list flag given with no value, is a ``ValueError`` naming its flag."""
     merged = _parse_config_file(args.config) if args.config else {}
     merged.update((key, value) for key, value in vars(args).items()
                   if key in _FLAGS and value is not None)
-    for key in merged:
+    for key, value in merged.items():
         if key not in _READS[args.command] and key not in _WRITER_KEYS:
             raise ValueError(f"{_flag_name(key)} is not read by {args.command}")
+        if value == []:  # an empty list would read as unset
+            raise ValueError(f"{_flag_name(key)} needs at least one value")
     return RunConfig(command=args.command,
                      **{_FLAGS[key].field: value for key, value in merged.items()})
 
@@ -313,11 +372,11 @@ def _resolve_potential(cfg: RunConfig) -> potentials.Potential:
 
 
 # what a handler returns: the CSV header and rows, the exit code, the measured constants
-_Output = tuple[list[str], list[tuple], int, dict]
+_Output = tuple[list[str], list[tuple] | np.ndarray, int, dict]
 
 
-def _write_outputs(cfg: RunConfig, header: list[str], rows: list[tuple], exit_code: int,
-                   constants: dict) -> int:
+def _write_outputs(cfg: RunConfig, header: list[str], rows: list[tuple] | np.ndarray,
+                   exit_code: int, constants: dict) -> int:
     """Write the CSV and, with ``--json``, the summary; return ``exit_code``."""
     path = _default(cfg.out, f"{cfg.command}.csv")
     write_csv(path, header, rows)
@@ -384,12 +443,13 @@ def cmd_spectrum(cfg: RunConfig) -> _Output:
 def cmd_sigma(cfg: RunConfig) -> _Output:
     V = _resolve_potential(cfg)
     seq = semiclassics.sigma_enumerate(V, _default(cfg.count, 8))
-    names = list(map(str, range(int(seq.multi.max()) + 1)))  # one str per index value
-    multis = map("+".join, zip(*(map(names.__getitem__, m) for m in seq.multi.T.tolist())))
-    texts, inverse = _distinct_texts(seq.values)
-    values = map(texts.__getitem__, inverse.tolist())
-    rows = list(zip(range(len(seq)), values, seq.wells.tolist(), multis))
-    return ["n", "e_n", "well", "multi_index"], rows, EXIT_OK, {}
+    plus = _text_field(b"+", len(seq))
+    # "+"-joined NUL-padded digits; the writer drops the padding
+    multi = np.hstack([f for m in seq.multi.T for f in (plus, _int_field(m))][1:])
+    header = ["n", "e_n", "well", "multi_index"]
+    table = np.rec.fromarrays([np.arange(len(seq)), seq.values, seq.wells,
+                               multi.view(f"S{multi.shape[1]}")[:, 0]], names=header)
+    return header, table, EXIT_OK, {}
 
 
 def cmd_validate(cfg: RunConfig) -> _Output:

@@ -11,7 +11,10 @@ of a 1-d operator on ``Z`` to a box is certified by a Dirichlet-Neumann
 bracket, with box doubling as the fallback.  Lattice
 operators in ``d >= 2`` are solved by shift-invert Lanczos (ARPACK) and
 their eigenvalue index is certified by a block Sylvester-inertia count, the
-d-dimensional analogue of the Sturm count.  Dense solves
+d-dimensional analogue of the Sturm count: a block LDL^T along axis 0 whose
+pivot blocks are factored by LAPACK ``dsytrf``, the symmetric-indefinite
+factorization of Bunch and Kaufman (Math. Comp. 31 (1977) 163), whose 1x1
+and 2x2 diagonal blocks carry each pivot's inertia.  Dense solves
 (``numpy.linalg.eigvalsh``) are used only as independent oracles in tests.
 
 Operators are passed either as a ``(diagonal, offdiagonal)`` pair or as any
@@ -96,8 +99,10 @@ class SpectrumResult:
     truncation_width: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if np.any(np.diff(self.values) < 0):
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        # one value is always ordered; most solves here ask for one
+        if values.size > 1 and (values[1:] < values[:-1]).any():
             raise ValueError("eigenvalues must be nondecreasing")
 
 
@@ -185,6 +190,27 @@ def eigs_tridiag(op, k: int) -> SpectrumResult:
                           box=getattr(op, "box", None))
 
 
+def _negative_inertia(ldu: np.ndarray, ipiv: np.ndarray, tiny: float) -> int:
+    """Negative eigenvalues of the block-diagonal ``B`` of a lower ``dsytrf``
+    factorization: a 1x1 block where ``ipiv > 0``, a 2x2 block where two
+    consecutive entries are negative.  ``-1`` when a block may have an
+    eigenvalue of magnitude at most ``tiny``."""
+    d = ldu.diagonal()
+    if ipiv.min() > 0:  # 1x1 blocks only: the usual case, taken without the masks
+        return -1 if np.abs(d).min() <= tiny else int(np.count_nonzero(d < 0.0))
+    first = np.flatnonzero(ipiv < 0)[::2]
+    one = np.ones(d.size, dtype=bool)
+    one[first] = one[first + 1] = False
+    a, c, b = d[first], d[first + 1], ldu[first + 1, first]
+    # Bunch-Kaufman takes a 2x2 pivot only when it is indefinite, det <= -(1 -
+    # alpha^2) b^2, so it holds one negative eigenvalue; and |det| / (|a| + |b| +
+    # |c|) is at most the magnitude of its smaller one
+    if (np.any(np.abs(d[one]) <= tiny)
+            or np.any(a * c - b * b >= -tiny * (np.abs(a) + np.abs(b) + np.abs(c)))):
+        return -1
+    return int(np.count_nonzero(d[one] < 0.0)) + first.size
+
+
 def count_below(op, theta: float) -> int:
     """Number of eigenvalues of a lattice operator below ``theta``.
 
@@ -193,28 +219,45 @@ def count_below(op, theta: float) -> int:
     ``T_r`` the operator on the ``r``-th axis-0 slab and ``-c I`` the
     coupling between neighboring slabs, the pivots are ``D_1 = T_1 - theta``
     and ``D_r = T_r - theta - c^2 D_{r-1}^{-1}``, and the count is the number
-    of negative eigenvalues over all ``D_r``.  A singular or non-finite
-    pivot raises :class:`ConvergenceFailure`.
+    of negative eigenvalues over all ``D_r``.  Each pivot block is factored
+    by LAPACK ``dsytrf`` (Bunch-Kaufman: ``P D_r P^T = L B L^T`` with ``B``
+    block diagonal in 1x1 and 2x2 blocks), and ``B`` has the inertia of
+    ``D_r``; ``dsytri`` then gives ``D_r^{-1}`` from the same factors.  Only
+    lower triangles are referenced, so the upper ones stay zero.
+
+    A non-finite pivot raises :class:`ConvergenceFailure`, and so does a
+    numerically singular one: a block of ``B`` with an eigenvalue of
+    magnitude at most ``m eps max|D_r|`` (``m`` the slab size), for the
+    rounding of ``D_r^{-1}`` after such a pivot can flip later counts.  This
+    happens when ``theta`` is (within rounding) an eigenvalue of the first
+    slab block or of a leading run of slabs.
     """
     box = op.box
     n0 = box.shape[0]
     slab = dataclasses.replace(box, hi=(box.lo[0],) + tuple(box.hi[1:]))
-    hop = op.restrict(slab).dense()
-    np.fill_diagonal(hop, 0.0)
+    hop = np.asfortranarray(np.tril(op.restrict(slab).dense(), -1))
     diag = op.diagonal.reshape(n0, -1) - theta
     c2 = float(op.coupling) ** 2
-    schur = np.zeros_like(hop)  # c^2 D_{r-1}^{-1}
+    m = hop.shape[0]
+    lwork = int(scipy.linalg.lapack.dsytrf_lwork(m, lower=1)[0])
+    schur = np.zeros_like(hop)  # c^2 D_{r-1}^{-1}, lower triangle
     count = 0
     for r in range(n0):
         D = hop - schur
         D[np.diag_indices_from(D)] += diag[r]
-        if not np.all(np.isfinite(D)):
+        scale = np.abs(D).max()  # NaN or inf when an entry is
+        if not np.isfinite(scale):
             raise ConvergenceFailure(f"non-finite block pivot {r} in the inertia count")
-        w, Q = np.linalg.eigh(D)
-        if np.any(w == 0.0):
+        ldu, ipiv, info = scipy.linalg.lapack.dsytrf(D, lower=1, lwork=lwork,
+                                                     overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of internal dsytrf")
+        negatives = _negative_inertia(ldu, ipiv, m * np.finfo(float).eps * scale)
+        if info > 0 or negatives < 0:
             raise ConvergenceFailure(f"singular block pivot {r} in the inertia count")
-        count += int(np.count_nonzero(w < 0.0))
-        schur = (Q * (c2 / w)) @ Q.T
+        count += negatives
+        schur = scipy.linalg.lapack.dsytri(ldu, ipiv, lower=1, overwrite_a=1)[0]
+        schur *= c2  # dsytri's info is 0: no block of B is singular
     return count
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lsc import eigensolve, hermite
 from lsc.eigensolve import (
+    SpectrumResult,
     classify_symmetry,
     converged_spectrum,
     count_below,
@@ -93,6 +94,15 @@ class TestSturm:
         vals = eigs_tridiag(op, 8).values
         assert np.all(np.diff(vals) >= 0)
         assert np.all(vals >= 0.0)
+
+    def test_result_rejects_unsorted_values(self):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            SpectrumResult(values=[1.0, 3.0, 2.0])
+        with pytest.raises(ValueError, match="nondecreasing"):
+            SpectrumResult(values=np.array([2.0, 1.0]))
+        for values in ([], [5.0], [1.0, 1.0, 2.0]):
+            got = SpectrumResult(values=values).values
+            assert got.dtype == float and got.tolist() == values
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -192,7 +202,65 @@ def random_box_3d(seed):
     return SymmetricLatticeOperator(box=box, diagonal=diag, coupling=1.5)
 
 
+@st.composite
+def inertia_cases(draw):
+    """A small 2-d or 3-d lattice operator, its dense spectrum and a shift.
+
+    Couplings include 0 and diagonals may be integers.  The shift sits below,
+    above or at a gap midpoint of the dense spectrum, at an eigenvalue of an
+    axis-0 slab block, or at an integer.  The last flag says whether a pivot
+    block may be exactly singular there."""
+    d = draw(st.sampled_from([2, 3]))
+    shape = draw(st.lists(st.integers(1, 6 if d == 2 else 4), min_size=d, max_size=d))
+    box = LatticeBox(lo=(0,) * d, hi=tuple(n - 1 for n in shape))
+    coupling = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.05, 3.0)))
+    integer = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag = (rng.integers(0, 7, box.size).astype(float) if integer
+            else rng.uniform(-2.0, 8.0, box.size))
+    op = SymmetricLatticeOperator(box=box, diagonal=diag, coupling=coupling)
+    dense = np.linalg.eigvalsh(op.dense())
+    kind = draw(st.sampled_from(["gap", "slab", "integer"]))
+    if kind == "gap":
+        j = draw(st.integers(0, box.size))
+        theta = (dense[0] - 1.0 if j == 0 else dense[-1] + 1.0 if j == box.size
+                 else 0.5 * (dense[j - 1] + dense[j]))
+    elif kind == "slab":
+        r = draw(st.integers(0, shape[0] - 1))
+        slab = LatticeBox(lo=(r,) + box.lo[1:], hi=(r,) + box.hi[1:])
+        theta = draw(st.sampled_from(np.linalg.eigvalsh(op.restrict(slab).dense()).tolist()))
+    else:
+        theta = float(draw(st.integers(-2, 12)))
+    return op, dense, theta, integer or kind != "gap"
+
+
 class TestSparse:
+    @settings(max_examples=400, deadline=None)
+    @given(inertia_cases())
+    def test_inertia_count_matches_dense_on_random_boxes(self, case):
+        op, dense, theta, may_be_singular = case
+        try:
+            got = count_below(op, theta)
+        except ConvergenceFailure as exc:
+            assert may_be_singular, exc
+            assert "singular block pivot" in str(exc)
+            return
+        # within rounding of an eigenvalue of H the dense count itself is ambiguous
+        tol = 1e-9 * (1.0 + np.abs(dense).max())
+        assert np.count_nonzero(dense < theta - tol) <= got
+        assert got <= np.count_nonzero(dense < theta + tol)
+        if not np.any(np.abs(dense - theta) <= tol):
+            assert got == np.count_nonzero(dense < theta)
+
+    def test_two_by_two_pivots_count_their_negative(self):
+        # a zero slab diagonal against a large coupling makes dsytrf take 2x2
+        # pivots inside the slab; each such block is indefinite
+        op = SymmetricLatticeOperator(box=LatticeBox(lo=(0, 0), hi=(3, 5)),
+                                      diagonal=np.zeros(24), coupling=1.0)
+        dense = np.linalg.eigvalsh(op.dense())
+        for theta in (-0.3, 0.1, 0.7, 1.9):
+            assert count_below(op, theta) == np.count_nonzero(dense < theta)
+
     @pytest.fixture(scope="class")
     def cases(self):
         ops = [two_well_2d(2), two_well_2d(4), random_box_3d(0)]

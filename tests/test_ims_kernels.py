@@ -7,11 +7,10 @@ even when an earlier bump gave the same block.  The kernels must return
 exactly the same floats, not merely close ones, and must hand the block
 solvers the same blocks, each distinct one once and in first-seen order.
 
-In ``d >= 2`` the comparison runs with ``eigsh`` replaced by a dense solve:
-ARPACK draws its restart vectors from a generator whose state persists
-between calls, so on small blocks (where the Krylov space is exhausted) the
-last bits of a real ``eigsh`` depend on the call history, and two identical
-reference calls can disagree.
+In ``d >= 2`` both solve small blocks densely, and the comparison runs with
+``eigsh`` replaced by a dense solve for the larger ones, so that it cannot
+depend on ARPACK's call history: ARPACK draws its restart vectors from a
+generator whose state persists between calls.
 """
 
 import contextlib
@@ -24,7 +23,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lsc import eigensolve, potentials, semiclassics
+from lsc import eigensolve, lattice, potentials, semiclassics
 from lsc.errors import OverlappingSupports, PartitionNotUnity
 from lsc.lattice import (
     LatticeBox,
@@ -132,9 +131,12 @@ def ref_double_commutator_norms(op, etas):
                  (np.concatenate([a, b]), np.concatenate([b, a]))),
                 shape=(nodes.size, nodes.size),
             )
-            lam_min = scipy.sparse.linalg.eigsh(
-                B, k=1, which="SA", v0=np.ones(nodes.size), tol=0,
-                return_eigenvectors=False)[0]
+            if nodes.size <= lattice._DENSE_BLOCK_NODES:
+                lam_min = np.linalg.eigvalsh(B.toarray())[0]
+            else:
+                lam_min = scipy.sparse.linalg.eigsh(
+                    B, k=1, which="SA", v0=np.ones(nodes.size), tol=0,
+                    return_eigenvectors=False)[0]
         norms.append(float(-lam_min))
     return norms
 
@@ -275,6 +277,20 @@ class TestAgainstGatherReference:
         assert_same_norms(op, etas)
         if box.size > 1:
             assert partition_variation(box, etas) == ref_partition_variation(box, etas)
+
+
+def test_small_2d_blocks_repeat_bit_for_bit():
+    # ARPACK on these blocks (at most 30 nodes) gave 4 distinct eta_0 norms in
+    # 6 identical calls; the dense solve gives one
+    box = LatticeBox(lo=(-9, -12), hi=(-5, -7))
+    op = SymmetricLatticeOperator(box=box, diagonal=np.zeros(box.size),
+                                  coupling=0.9753054744842613)
+    etas = ims_partition([(-8.5, -15.5), (0.5, -14.5), (9.5, -14.5)],
+                         4.029802218517839, box)
+    first = double_commutator_norms(op, etas)
+    assert first[0] > 0.0
+    for _ in range(6):
+        assert double_commutator_norms(op, etas) == first
 
 
 def test_partition_not_unity_rejected_in_2d():
