@@ -274,9 +274,11 @@ def eigs_sparse(op, k: int) -> SpectrumResult:
     ``j - 1`` and ``j`` of that gap must be exactly ``j``, else
     :class:`ConvergenceFailure` is raised.  A missed or doubled eigenvalue
     therefore cannot pass silently.  Usually the gap is at ``j = k``; when
-    ``k`` splits a degenerate cluster, more candidates are requested until
-    one wider gap is found.  When the midpoint makes a block pivot singular,
-    the count is taken once more at the quarter point of the same gap.
+    ``k`` splits a degenerate cluster, or the count disagrees because ARPACK
+    missed a copy of a degenerate level, the number of candidates is doubled
+    and the search repeated, up to ``size - 1`` of them.  When the midpoint
+    makes a block pivot singular, the count is taken once more at the
+    quarter point of the same gap.
     """
     from scipy.sparse.linalg import ArpackError, eigsh
 
@@ -297,25 +299,25 @@ def eigs_sparse(op, k: int) -> SpectrumResult:
         values = np.sort(values)
         wide = np.flatnonzero(np.diff(values[k - 1:]) > rounding)
         if wide.size:
-            break
+            j = k + int(wide[0])
+            try:
+                count = count_below(op, 0.5 * (values[j - 1] + values[j]))
+            except ConvergenceFailure:
+                # the midpoint is an eigenvalue of a slab block; every point
+                # strictly inside the gap certifies the same index
+                count = count_below(op, values[j - 1] + 0.25 * (values[j] - values[j - 1]))
+            if count == j:
+                return SpectrumResult(values=values[:k], box=op.box)
         if wanted == op.size - 1:
+            if wide.size:
+                raise ConvergenceFailure(
+                    f"index certificate failed: {count} eigenvalues below a point "
+                    f"between candidates {j - 1} and {j}, expected {j}"
+                )
             raise ConvergenceFailure(
                 f"no gap wider than {rounding:.3g} above candidate {k - 1}"
             )
         wanted = min(2 * wanted, op.size - 1)
-    j = k + int(wide[0])
-    try:
-        count = count_below(op, 0.5 * (values[j - 1] + values[j]))
-    except ConvergenceFailure:
-        # the midpoint is an eigenvalue of a slab block; every point strictly
-        # inside the gap certifies the same index
-        count = count_below(op, values[j - 1] + 0.25 * (values[j] - values[j - 1]))
-    if count != j:
-        raise ConvergenceFailure(
-            f"index certificate failed: {count} eigenvalues below a point "
-            f"between candidates {j - 1} and {j}, expected {j}"
-        )
-    return SpectrumResult(values=values[:k], box=op.box)
 
 
 def dense_eigvalsh(op) -> np.ndarray:
@@ -479,6 +481,9 @@ def subspace_upper_bounds(op, test_vectors: Sequence[np.ndarray]) -> np.ndarray:
 
     Solves ``A y = theta B y`` with ``A_ij = <v_i, H v_j>`` and
     ``B_ij = <v_i, v_j>``; by the min-max principle ``theta_n >= E_n``.
+    Linear dependence is judged on the equilibrated Gram matrix
+    ``D^{-1/2} B D^{-1/2}`` with ``D = diag(B)``, so vectors of very
+    different norms are not rejected for their scale alone.
     """
     V = np.column_stack([np.asarray(v, dtype=float) for v in test_vectors])
     HV = np.column_stack([op.matvec(V[:, j]) for j in range(V.shape[1])])
@@ -486,7 +491,8 @@ def subspace_upper_bounds(op, test_vectors: Sequence[np.ndarray]) -> np.ndarray:
     A = 0.5 * (A + A.T)
     B = V.T @ V
     B = 0.5 * (B + B.T)
-    if np.linalg.cond(B) > 1e12:
+    norms = np.sqrt(np.diag(B))
+    if not np.all(norms > 0) or np.linalg.cond(B / np.outer(norms, norms)) > 1e12:
         raise IllConditionedSpan("Gram matrix of test vectors is too ill-conditioned")
     return scipy.linalg.eigh(A, B, eigvals_only=True)
 

@@ -8,7 +8,9 @@ it is an approximate eigenfunction of the lattice operator
 ``Delta + kappa^4 x^2`` with eigenvalue ``kappa^2 (2n + 1)`` up to a
 fourth-order residual.  This module evaluates those objects stably, finds
 Hermite zeros, and computes the residual both by exact stencil assembly
-and by the Taylor-remainder integral for cross-checks.
+and by the Taylor-remainder integral for cross-checks.  The integral's
+``Psi_n^(4)`` is read off the oscillator equation in closed form,
+``((y^2 - 2n - 1)^2 - 4 y^2 + 2) Psi_n + 8n y Psi_{n-1}``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .lattice import LatticeBox
 
 __all__ = [
     "hermite_eval",
-    "probabilists_eval",
     "weighted_eval",
     "hermite_zeros",
     "box_halfwidth",
@@ -53,16 +54,6 @@ def hermite_eval(n: int, y):
             prev, cur = cur, 2.0 * arr * cur - 2.0 * k * prev
     if not np.all(np.isfinite(cur)):
         raise OverflowError(f"h_{n} overflowed; evaluate in weighted form")
-    return float(cur) if np.isscalar(y) else cur
-
-
-def probabilists_eval(n: int, y):
-    """Probabilists' Hermite polynomial (recurrence ``He_{k+1} = y He_k - k He_{k-1}``)."""
-    arr = np.asarray(y, dtype=float)
-    prev = np.zeros_like(arr)
-    cur = np.ones_like(arr)
-    for k in range(n):
-        prev, cur = cur, arr * cur - float(k) * prev
     return float(cur) if np.isscalar(y) else cur
 
 
@@ -183,28 +174,18 @@ def quasimode_apply(n: int, kappa: float, box: LatticeBox):
 
 
 def psi_fourth_derivative(n: int, y):
-    """Fourth derivative of ``Psi_n`` as a finite Hermite-Gaussian combination.
+    """Fourth derivative of ``Psi_n`` in closed form.
 
-    Expands via ``h_m' = 2 m h_{m-1}`` and ``phi^(j) = (-1)^j He_j phi``
-    with ``He_j`` the probabilists' polynomials, so no differencing is
-    involved.
+    Differentiating ``Psi_n'' = (y^2 - s) Psi_n`` twice, with ``s = 2n + 1``
+    and ``Psi_n' = -y Psi_n + 2n Psi_{n-1}`` (from ``h_n' = 2n h_{n-1}``),
+    gives ``Psi_n^(4) = ((y^2 - s)^2 - 4 y^2 + 2) Psi_n + 8n y Psi_{n-1}``;
+    no differencing is involved.
     """
     arr = np.asarray(y, dtype=float)
-    total = np.zeros_like(arr)
-    for j in range(5):
-        m = n - (4 - j)
-        if m < 0:
-            continue
-        falling = 1.0
-        for t in range(4 - j):
-            falling *= 2.0 * (n - t)
-        total += (
-            math.comb(4, j)
-            * falling
-            * ((-1.0) ** j)
-            * probabilists_eval(j, arr)
-            * weighted_eval(m, arr)
-        )
+    y2 = arr * arr
+    total = ((y2 - (2.0 * n + 1.0)) ** 2 - 4.0 * y2 + 2.0) * weighted_eval(n, arr)
+    if n:
+        total = total + 8.0 * n * arr * weighted_eval(n - 1, arr)
     return float(total) if np.isscalar(y) else total
 
 

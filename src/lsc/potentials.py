@@ -85,7 +85,8 @@ class Potential:
     values.  ``positivity_radius``/``positivity_floor`` are the ``(R0, c)``
     pair certifying positivity at infinity; they are supplied, never
     inferred.  ``axis_potentials`` carries the one-dimensional factors when
-    the potential is a separable sum over coordinates.
+    the potential is a separable sum over coordinates; :attr:`separable`
+    says whether it does.
     """
 
     dimension: int
@@ -93,7 +94,6 @@ class Potential:
     wells: tuple[Well, ...]
     positivity_radius: float
     positivity_floor: float
-    separable: bool = False
     axis_potentials: tuple["Potential", ...] | None = None
     name: str = "custom"
 
@@ -109,12 +109,15 @@ class Potential:
                     f"registered well {well.location} is not a zero of V "
                     f"(V={value:.3e})"
                 )
-        if self.separable:
-            if self.axis_potentials is None or len(self.axis_potentials) != self.dimension:
-                raise ValueError("separable potentials need one 1-d factor per axis")
+        if self.separable and len(self.axis_potentials) != self.dimension:
+            raise ValueError("separable potentials need one 1-d factor per axis")
 
     def __call__(self, x) -> np.ndarray | float:
         return eval_potential(self, x)
+
+    @property
+    def separable(self) -> bool:
+        return self.axis_potentials is not None
 
     @property
     def frequencies_min(self) -> float:
@@ -375,7 +378,6 @@ def harmonic(omega: float | Sequence[float]) -> Potential:
         wells=(well,),
         positivity_radius=1.0,
         positivity_floor=floor,
-        separable=d > 1,
         axis_potentials=axis,
         name="harmonic",
     )
@@ -425,7 +427,6 @@ def double_well_nd(d: int) -> Potential:
         wells=tuple(wells),
         positivity_radius=2.0 * math.sqrt(d),
         positivity_floor=4.0,
-        separable=True,
         axis_potentials=tuple(double_well() for _ in range(d)),
         name=f"double_well_{d}d",
     )

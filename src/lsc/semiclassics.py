@@ -327,7 +327,7 @@ def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
 
     if V.dimension == 1:
         return levels_1d(V)
-    if V.separable and V.axis_potentials is not None:
+    if V.separable:
         axis_vals = [levels_1d(Vj) for Vj in V.axis_potentials]
         # the kinetic diagonal enters once per axis, so plain sums are exact
         return eigensolve.eigs_separable(axis_vals, count)

@@ -14,7 +14,6 @@ from lsc.hermite import (
     gram_entry,
     hermite_eval,
     hermite_zeros,
-    probabilists_eval,
     psi_fourth_derivative,
     quasimode_apply,
     residual_integral,
@@ -65,13 +64,6 @@ class TestEval:
     def test_overflow_signalled(self):
         with pytest.raises(OverflowError):
             hermite_eval(64, 1e5)
-
-    def test_probabilists_table(self):
-        ys = np.linspace(-3, 3, 7)
-        np.testing.assert_allclose(probabilists_eval(2, ys), ys**2 - 1, rtol=1e-13)
-        np.testing.assert_allclose(
-            probabilists_eval(4, ys), ys**4 - 6 * ys**2 + 3, rtol=1e-12, atol=1e-12
-        )
 
 
 class TestWeighted:
@@ -252,6 +244,20 @@ class TestResidualIntegral:
                 assert psi_fourth_derivative(n, y) == pytest.approx(
                     stencil, rel=5e-3, abs=5e-3
                 )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 40, 64])
+    def test_psi4_matches_extended_precision(self, n):
+        # mpmath differentiates h_n(y) exp(-y^2/2) itself at 40 digits, so the
+        # oracle shares neither the recurrence nor the closed form
+        reach = 1.2 * math.sqrt(2 * n + 1) + 3.0
+        ys = np.linspace(-reach, reach, 41)
+        with mp.workdps(40):
+            want = np.array([
+                float(mp.diff(lambda t: mp.hermite(n, t) * mp.exp(-t * t / 2), mp.mpf(y), 4))
+                for y in ys
+            ])
+        got = psi_fourth_derivative(n, ys)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def reference_residual_integral(n, kappa, x, splits):

@@ -156,6 +156,19 @@ class TestWellInvariants:
                 positivity_floor=1.0,
             )
 
+    def test_separable_follows_axis_factors(self):
+        assert double_well_nd(2).separable
+        assert not double_well().separable
+        with pytest.raises(ValueError, match="one 1-d factor per axis"):
+            Potential(
+                dimension=2,
+                evaluator=lambda pts: (pts * pts).sum(axis=-1),
+                wells=(),
+                positivity_radius=1.0,
+                positivity_floor=1.0,
+                axis_potentials=(double_well(),),
+            )
+
     def test_well_frequency_order_enforced(self):
         with pytest.raises(ValueError):
             Well(location=np.zeros(2), frequencies=np.array([2.0, 1.0]))
