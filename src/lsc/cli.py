@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -308,9 +309,11 @@ def _flag_name(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One parser for every subcommand: a positional command and every flag, each
-    flag's help naming the commands that read it."""
+    flag's help naming the commands that read it.  Built once per process:
+    ``parse_args`` and ``format_help`` leave it as it was."""
     p = argparse.ArgumentParser(
         prog="lsc",
         description="Spectra of lattice Schrodinger operators under coupled "
@@ -529,7 +532,7 @@ def cmd_quasimode(cfg: RunConfig) -> _Output:
     n_max = _default(cfg.nmax, 3)
     rows = []
     cross_worst = 0.0
-    ritz_ok = True
+    passed = True
     for kappa in kappas:
         box = LatticeBox.centered(1, hermite.box_halfwidth(n_max, kappa))
         op = lattice.assemble_Hkappa(kappa, box)
@@ -546,11 +549,14 @@ def cmd_quasimode(cfg: RunConfig) -> _Output:
             x0 = int(np.abs(resid).argmax())
             cross = abs(resid[x0] + hermite.residual_integral(n, kappa, box.lo[0] + x0))
             cross_worst = max(cross_worst, cross)
-            if thetas[n] < spectrum[n] - 1e-12 * (1.0 + abs(spectrum[n])):
-                ritz_ok = False
+            # the residual grows like sqrt(2^n n!), so the stencil and the
+            # quadrature can agree only to rounding at the quasimode's scale
+            # (measured <= 15.2 eps max|psi| for kappa in [0.0125, 0.3], n <= 30)
+            if (cross > 1e3 * np.finfo(float).eps * float(np.abs(psi).max())
+                    or thetas[n] < spectrum[n] - 1e-12 * (1.0 + abs(spectrum[n]))):
+                passed = False
             rows.append((kappa, n, sup, sup / kappa**4, gram_dev,
                          float(thetas[n]) / kappa**2))
-    passed = ritz_ok and cross_worst <= 1e-9
     return (["kappa", "n", "resid_sup", "resid_over_kappa4", "gram_diag_dev",
              "ritz_over_kappa2"], rows,
             EXIT_OK if passed else EXIT_ASSERTION, {"stencil_vs_integral": cross_worst})

@@ -89,7 +89,8 @@ class SpectrumResult:
 
     ``truncation_width`` is set when a Dirichlet-Neumann bracket certified
     the box truncation: per level, how far the Dirichlet value may lie above
-    the level on the whole lattice.
+    the level on the whole lattice, which is the acceptance tolerance
+    ``BOX_DOUBLING_RTOL * (1 + |E|)``.
     """
 
     values: np.ndarray
@@ -115,20 +116,38 @@ class NodalReport:
     symmetry: str | None = None
 
 
-def _stebz(diag: np.ndarray, off: np.ndarray, k: int, abstol: float):
-    """Lowest ``k`` eigenvalues of a finite tridiagonal pair by the one LAPACK
-    ``dstebz`` call at absolute tolerance ``abstol``, in the block order that
-    ``dstein`` takes (sorted, they equal the ascending ``"E"`` order), with
-    ``iblock`` and ``isplit``.  ``info < 0`` raises ``ValueError``; ``info > 0``
-    or a short return raises :class:`ConvergenceFailure`."""
+def _stebz(diag: np.ndarray, off: np.ndarray, k: int | None = None,
+           upper: float | None = None):
+    """The one LAPACK ``dstebz`` call, in one of two modes.
+
+    ``k``: the lowest ``k`` eigenvalues of a finite tridiagonal pair
+    (``RANGE='I'``) at absolute tolerance ``_STEBZ_TOL``, in the block order
+    that ``dstein`` takes (sorted, they equal the ascending ``"E"`` order), with
+    ``iblock`` and ``isplit``.
+
+    ``upper``: the number of eigenvalues ``<= upper`` (``RANGE='V'`` over
+    ``(-inf, upper]``), a Sturm count.  The infinite tolerance marks every
+    interval converged after its first midpoint, so each diagonal block costs
+    three Sturm sequences (its Gershgorin interval's two ends and one
+    midpoint), not a bisection.
+
+    ``info < 0`` raises ``ValueError``; ``info > 0`` or a short return raises
+    :class:`ConvergenceFailure`."""
     if diag.size == 1:
+        if upper is not None:
+            return int(diag[0] <= upper)
         return diag.copy(), np.ones(1, np.int32), np.ones(1, np.int32)
-    m, values, iblock, isplit, info = scipy.linalg.lapack.dstebz(
-        diag, off, 2, 0.0, 1.0, 1, k, abstol, "B")
+    if upper is None:  # RANGE='I', indices 1..k
+        args = (2, 0.0, 1.0, 1, k, _STEBZ_TOL)
+    else:  # RANGE='V', the half-open (-inf, upper]
+        args = (1, -np.inf, upper, 0, 0, np.inf)
+    m, values, iblock, isplit, info = scipy.linalg.lapack.dstebz(diag, off, *args, "B")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal dstebz")
     if info > 0:
         raise ConvergenceFailure(f"dstebz did not converge (LAPACK info={info})")
+    if upper is not None:
+        return m
     if m != k:
         raise ConvergenceFailure(f"dstebz returned {m} of {k} eigenvalues")
     return values[:k], iblock, isplit
@@ -186,7 +205,7 @@ def eigs_tridiag(op, k: int) -> SpectrumResult:
     diag, off = _as_tridiagonal(op)
     if not 1 <= k <= diag.size:
         raise ValueError(f"k={k} out of range for size {diag.size}")
-    return SpectrumResult(values=np.sort(_stebz(diag, off, k, _STEBZ_TOL)[0]),
+    return SpectrumResult(values=np.sort(_stebz(diag, off, k)[0]),
                           box=getattr(op, "box", None))
 
 
@@ -363,7 +382,7 @@ def eigenpairs(op, k: int) -> SpectrumResult:
     diag, off = _as_tridiagonal(op)
     if not 1 <= k <= diag.size:
         raise ValueError(f"k={k} out of range for size {diag.size}")
-    values, iblock, isplit = _stebz(diag, off, k, _STEBZ_TOL)
+    values, iblock, isplit = _stebz(diag, off, k)
     vectors = _stein(diag, off, values, iblock, isplit)
     order = np.argsort(values)
     values, vectors = values[order], vectors[:, order]
@@ -516,11 +535,13 @@ def converged_spectrum(
     ``H_box^Neu`` the Dirichlet operator less ``coupling`` per cut bond on its
     diagonal and ``H_out^Neu >= outside_floor(M)``; with Dirichlet
     monotonicity, ``neu_j <= E_j(H_Z) <= cur_j`` whenever ``neu_k`` lies below
-    the floor.  The Neumann levels come from ``dstebz`` at ``abstol = min(tol)
-    / 2`` and ``lower = neu - abstol``.  The pass accepts ``cur`` when ``neu_k +
-    abstol`` is below the floor and ``cur - lower <= tol`` level by level, and
-    reports ``max(cur - lower, 0)`` as ``truncation_width``; the Neumann
-    solve is skipped when ``cur_k - tol_k`` already reaches the floor.
+    the floor.  The bracket needs no Neumann eigenvalue, only Sturm counts
+    ``nu(x)``, the number of Neumann levels ``<= x`` (Barth, Martin and
+    Wilkinson, Numer. Math. 9 (1967) 386): the pass accepts ``cur`` when
+    ``nu`` just below the floor is at least ``k`` and ``nu(cur_j - tol_j) <=
+    j`` for every ``j < k``, that is ``cur_j - tol_j < neu_j``, and reports
+    ``tol`` as ``truncation_width``.  The counts are skipped when ``cur_k -
+    tol_k`` already reaches the floor, since both conditions cannot then hold.
     Failing that, it accepts ``cur`` when no level moved by more than ``tol``
     since the previous box (``truncation_width`` stays ``None``), and
     otherwise doubles ``M``.  After ``MAX_DOUBLINGS`` doublings it raises
@@ -536,13 +557,12 @@ def converged_spectrum(
         tol = BOX_DOUBLING_RTOL * (1.0 + np.abs(cur.values))
         floor = outside_floor(M)
         if cur.values[-1] - tol[-1] < floor:
-            abstol = 0.5 * float(tol.min())
+            neu = op.diagonal - op.coupling * op.dropped_neighbor_count()
             _, off = op.tridiagonal()
-            neu = np.sort(_stebz(op.diagonal - op.coupling * op.dropped_neighbor_count(),
-                                 off, k, abstol)[0])
-            width = cur.values - (neu - abstol)
-            if neu[-1] + abstol < floor and np.all(width <= tol):
-                return dataclasses.replace(cur, truncation_width=np.maximum(width, 0.0))
+            if (_stebz(neu, off, upper=np.nextafter(floor, -np.inf)) >= k
+                    and all(_stebz(neu, off, upper=x) <= j
+                            for j, x in enumerate(cur.values - tol))):
+                return dataclasses.replace(cur, truncation_width=tol)
         if prev is not None and np.all(np.abs(cur.values - prev.values) <= tol):
             return cur
         prev = cur

@@ -1,6 +1,7 @@
 """Spectral assertions shared by the test modules (not collected as tests)."""
 
 import numpy as np
+import scipy.linalg
 
 from lsc.eigensolve import BOX_DOUBLING_RTOL, converged_spectrum, eigs_tridiag
 from lsc.lattice import SymmetricLatticeOperator
@@ -23,6 +24,19 @@ def multiplicity_clusters(values) -> list[list[int]]:
     return clusters
 
 
+def record_dstebz_ranges(monkeypatch) -> list[int]:
+    """Patch LAPACK ``dstebz`` to log the ``RANGE`` of every call: 2 for an
+    index solve (``'I'``), 1 for a Sturm count (``'V'``)."""
+    ranges: list[int] = []
+    dstebz = scipy.linalg.lapack.dstebz
+
+    def logged(d, e, range_, *args):
+        ranges.append(range_)
+        return dstebz(d, e, range_, *args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", logged)
+    return ranges
+
 
 def assert_bracket_encloses(assemble, M0, k, outside_floor):
     """``lower <= E(Dirichlet, 8 M0) <= E(Dirichlet, M0)`` level by level, with
@@ -30,7 +44,7 @@ def assert_bracket_encloses(assemble, M0, k, outside_floor):
     one coupling per cut bond) less the bracket's tolerance ``BOX_DOUBLING_RTOL
     (1 + |E|) / 2`` at its tightest level and the top one below
     ``outside_floor(M0)``; ``converged_spectrum`` then accepts the start box
-    by the bracket."""
+    by the bracket, with the acceptance tolerance as its width."""
     op = assemble(M0)
     start = eigs_tridiag(op, k).values
     wide = eigs_tridiag(assemble(8 * M0), k).values
@@ -46,6 +60,7 @@ def assert_bracket_encloses(assemble, M0, k, outside_floor):
     # Dirichlet monotonicity, up to the rounding of the bisection
     assert np.all(wide <= start + 4 * np.finfo(float).eps * np.abs(start))
     res = converged_spectrum(assemble, M0, k, outside_floor)
+    assert res.box == op.box
     np.testing.assert_array_equal(res.values, start)
-    assert np.all(res.truncation_width >= 0.0) and np.all(res.truncation_width <= tol)
+    np.testing.assert_array_equal(res.truncation_width, tol)
     assert np.all(res.values - res.truncation_width <= wide)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsc import cli
+from lsc import cli, hermite
 from lsc.lattice import LatticeBox, SymmetricLatticeOperator, assemble_HN, assemble_Hkappa
 from lsc.potentials import (
     Potential,
@@ -750,6 +750,37 @@ class TestQuasimodeCommand:
         assert code == 0
         assert json.loads((tmp_path / "q.json").read_text())["pass"] is True
 
+    def test_cross_check_is_relative_to_the_quasimode(self, tmp_path):
+        # at n = 13 the residual sup is 2.7e5 at kappa = 0.2 and the stencil
+        # and the quadrature differ by 4.4e-9, rounding at that scale
+        code = run(["quasimode", "--kappa", "0.2,0.1", "--nmax", "13"],
+                   tmp_path, out="q.csv", json="q.json")
+        assert code == cli.EXIT_OK
+        assert json.loads((tmp_path / "q.json").read_text())["pass"] is True
+
+    def test_cross_check_catches_a_relative_error(self, tmp_path, monkeypatch):
+        # a quadrature off by 1e-6 of max|psi_n| fails, whatever n's scale
+        peaks = {}
+        apply, integral = hermite.quasimode_apply, hermite.residual_integral
+
+        def recorded(n, kappa, box):
+            psi, resid = apply(n, kappa, box)
+            peaks[n, kappa] = float(np.abs(psi).max())
+            return psi, resid
+
+        def off(n, kappa, x):
+            return integral(n, kappa, x) + 1e-6 * peaks[n, kappa]
+
+        monkeypatch.setattr(hermite, "quasimode_apply", recorded)
+        monkeypatch.setattr(hermite, "residual_integral", off)
+        code = run(["quasimode", "--kappa", "0.2", "--nmax", "3"],
+                   tmp_path, out="q.csv", json="q.json")
+        assert code == cli.EXIT_ASSERTION
+        summary = json.loads((tmp_path / "q.json").read_text())
+        assert summary["pass"] is False
+        assert summary["measured_constants"]["stencil_vs_integral"] == pytest.approx(
+            1e-6 * max(peaks.values()), rel=1e-6)
+
 
 class TestImsCommand:
     def test_double_well_run(self, tmp_path):
@@ -864,6 +895,33 @@ class TestParseContract:
         assert "triplet dump path; read by spectrum " in text
         assert "number of enumerated values; read by sigma " in text
         assert "JSON summary path; read by every command" in text
+
+    def test_one_parser_serves_a_sequence_of_runs(self, tmp_path):
+        # the parser is built once per process; runs of different commands
+        # and flags, a refused one among them, write what each writes alone
+        argvs = ["kappa --kappa 0.2 --nmax 2", "quasimode --kappa 0.2,0.1 --nmax 2",
+                 "spectrum --potential harmonic --gamma 0 --N 16 --k 3",
+                 "sigma --potential harmonic --omega 1 --count 4",
+                 "kappa --kappa 0.1,0.2 --nmax 1 --count 3",
+                 "kappa --kappa 0.1 --nmax 1"]
+        assert cli.build_parser() is cli.build_parser()
+        codes = {}
+        for mode in ("sequence", "single"):
+            (tmp_path / mode).mkdir()
+            for i, argv in enumerate(argvs):
+                if mode == "single":
+                    cli.build_parser.cache_clear()
+                codes[mode, i] = run(argv.split(), tmp_path / mode,
+                                     out=f"{i}.csv", json=f"{i}.json")
+        assert [codes["sequence", i] for i in range(len(argvs))] == [
+            codes["single", i] for i in range(len(argvs))] == [0, 0, 0, 0, 2, 0]
+        names = sorted(p.name for p in (tmp_path / "single").iterdir())
+        assert sorted(p.name for p in (tmp_path / "sequence").iterdir()) == names
+        assert len(names) == 10
+        for name in names:
+            single = (tmp_path / "single" / name).read_text()
+            assert (tmp_path / "sequence" / name).read_text() == single.replace(
+                "/single/", "/sequence/")
 
     @pytest.mark.parametrize("argv", [["frobnicate"], [], ["sigma", "--bogus", "1"]],
                              ids=["unknown-command", "missing-command", "unknown-flag"])

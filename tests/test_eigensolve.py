@@ -45,7 +45,11 @@ from lsc.lattice import (
     assemble_laplacian,
 )
 from lsc.potentials import ScalingParams, two_well
-from spectral_checks import assert_bracket_encloses, multiplicity_clusters
+from spectral_checks import (
+    assert_bracket_encloses,
+    multiplicity_clusters,
+    record_dstebz_ranges,
+)
 
 
 def random_confining_tridiag(rng, n):
@@ -153,6 +157,50 @@ class TestTridiagContract:
     def test_non_finite_one_by_one_raises(self):
         with pytest.raises(ValueError, match="infs or NaNs"):
             eigs_tridiag((np.array([np.nan]), np.zeros(0)), 1)
+
+
+class TestSturmCount:
+    """``_stebz(diag, off, upper=x)`` counts the eigenvalues ``<= x``."""
+
+    @staticmethod
+    def count(diag, off, x):
+        return eigensolve._stebz(np.asarray(diag, float), np.asarray(off, float),
+                                 upper=float(x))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_dense_count(self, seed):
+        # random and split tridiagonals, size 1 included; away from the
+        # spectrum the count is exact, and within one ulp of an eigenvalue it
+        # is the count of a matrix perturbed by the rounding of the recurrence
+        rng = np.random.default_rng(seed)
+        n = seed + 1 if seed < 3 else int(rng.integers(4, 300))
+        diag = rng.uniform(-5.0, 5.0, n)
+        off = rng.uniform(-2.0, 2.0, n - 1)
+        if seed % 2:  # zero couplings cut the matrix into blocks
+            off[rng.uniform(size=n - 1) < 0.3] = 0.0
+        dense = dense_eigvalsh((diag, off))
+        norm = np.abs(diag).max() + 2.0 * np.abs(off).max(initial=0.0)  # Gershgorin
+        slack = 1e3 * n * np.finfo(float).eps * norm
+        gaps = np.concatenate([[dense[0] - 1.0], 0.5 * (dense[1:] + dense[:-1]),
+                               [dense[-1] + 1.0]])
+        for x in gaps[np.abs(gaps[:, None] - dense).min(axis=1) > slack]:
+            assert self.count(diag, off, x) == np.count_nonzero(dense <= x)
+        for lam in dense:
+            for x in (np.nextafter(lam, -np.inf), lam, np.nextafter(lam, np.inf)):
+                got = self.count(diag, off, x)
+                assert (np.count_nonzero(dense < x - slack) <= got
+                        <= np.count_nonzero(dense <= x + slack))
+
+    def test_exact_at_representable_eigenvalues(self):
+        # blocks [3], [[2, 1], [1, 2]], [-1.5], [0.25]: eigenvalues -1.5, 0.25,
+        # 1, 3, 3, each counted at itself and not one ulp below
+        diag, off = [3.0, 2.0, 2.0, -1.5, 0.25], [0.0, 1.0, 0.0, 0.0]
+        for lam, below, at in ((-1.5, 0, 1), (0.25, 1, 2), (1.0, 2, 3), (3.0, 3, 5)):
+            assert self.count(diag, off, np.nextafter(lam, -np.inf)) == below
+            assert self.count(diag, off, lam) == at
+            assert self.count(diag, off, np.nextafter(lam, np.inf)) == at
+        for x in (np.nextafter(3.25, -np.inf), 3.25, np.nextafter(3.25, np.inf)):
+            assert self.count([3.25], [], x) == int(x >= 3.25)
 
 
 def longdouble_hkappa_lowest(kappa, M, approx, sweeps=8, points=63):
@@ -745,27 +793,62 @@ class TestTruncationBracket:
     @pytest.mark.parametrize("floor", [0.0, -math.inf])
     def test_floor_below_the_levels_skips_neumann_and_doubles(self, monkeypatch, floor):
         # a floor the Dirichlet levels already reach cannot certify: only the
-        # Dirichlet solves run, the doubling test accepts the doubled box as
-        # before the bracket, and no width is reported
+        # Dirichlet solves run, no Neumann count, the doubling test accepts
+        # the doubled box as before the bracket, and no width is reported
         kappa = 0.2
-        tolerances = []
-        stebz = eigensolve._stebz
-
-        def counting(diag, off, k, abstol):
-            tolerances.append(abstol)
-            return stebz(diag, off, k, abstol)
-
-        monkeypatch.setattr(eigensolve, "_stebz", counting)
+        ranges = record_dstebz_ranges(monkeypatch)
 
         def assemble(M):
             return assemble_Hkappa(kappa, LatticeBox.centered(1, M))
 
         M0 = hermite.box_halfwidth(2, kappa)
         res = converged_spectrum(assemble, M0, 3, lambda M: floor)
-        assert tolerances == [eigensolve._STEBZ_TOL] * 2
+        assert ranges == [2, 2]
         assert res.truncation_width is None
         assert res.box == LatticeBox.centered(1, 2 * M0)
         np.testing.assert_array_equal(res.values, eigs_tridiag(assemble(2 * M0), 3).values)
+
+    def test_accepted_box_is_one_solve_and_k_plus_one_counts(self, monkeypatch):
+        # the Neumann side of the bracket is Sturm counts (RANGE='V'), never
+        # a second index solve (RANGE='I')
+        kappa, k = 0.2, 6
+        ranges = record_dstebz_ranges(monkeypatch)
+
+        def assemble(M):
+            return assemble_Hkappa(kappa, LatticeBox.centered(1, M))
+
+        M0 = hermite.box_halfwidth(5, kappa)
+        res = converged_spectrum(assemble, M0, k, lambda M: kappa**4 * (M + 1) ** 2)
+        assert res.box == LatticeBox.centered(1, M0) and res.truncation_width is not None
+        assert ranges == [2] + [1] * (k + 1)
+
+    def test_neumann_level_below_the_tolerance_doubles(self):
+        # wells at both box edges hold the two lowest levels, a barrier of
+        # height 10 parts them from a centre well holding the third, and the
+        # potential is 100 outside |x| <= 20.  On the start box the floor lies
+        # above every tracked level and the third level is certified, but the
+        # edge levels feel the cut bonds: their Neumann levels lie below
+        # cur - tol, so the box doubles once and the counts certify M = 40
+        boxes = []
+
+        def assemble(M):
+            boxes.append(M)
+            box = LatticeBox.centered(1, M)
+            x = np.abs(box.coords())
+            V = np.select([x > 20, x >= 17, x >= 5], [100.0, 0.0, 10.0], 0.5)
+            return SymmetricLatticeOperator(box=box, diagonal=2.0 + V, coupling=1.0)
+
+        op = assemble(20)
+        cur = eigs_tridiag(op, 3).values
+        neu = eigs_tridiag((op.diagonal - op.dropped_neighbor_count(),
+                            op.tridiagonal()[1]), 3).values
+        below = neu < cur - eigensolve.BOX_DOUBLING_RTOL * (1.0 + np.abs(cur))
+        assert neu[-1] < 100.0 and below.tolist() == [True, True, False]
+        boxes.clear()
+        res = converged_spectrum(assemble, 20, 3, lambda M: 100.0)
+        assert boxes == [20, 40] and res.box == LatticeBox.centered(1, 40)
+        np.testing.assert_array_equal(
+            res.truncation_width, eigensolve.BOX_DOUBLING_RTOL * (1.0 + np.abs(res.values)))
 
     def test_neumann_level_at_the_floor_is_not_certified(self):
         # a floor at the top level passes the width test but not the index

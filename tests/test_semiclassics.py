@@ -33,7 +33,7 @@ from lsc.semiclassics import (
     regime_sweep,
     sigma_enumerate,
 )
-from spectral_checks import assert_bracket_encloses
+from spectral_checks import assert_bracket_encloses, record_dstebz_ranges
 
 
 def sigma_brute_force(V, count):
@@ -575,6 +575,9 @@ class TestTruncationBracket:
 
         monkeypatch.setattr(eigensolve, "converged_spectrum", counting_converged)
         monkeypatch.setattr(eigensolve, "eigs_tridiag", counting_solve)
+        ranges = record_dstebz_ranges(monkeypatch)
         monkeypatch.chdir(tmp_path)
         assert cli.main("kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5".split()) == cli.EXIT_OK
         assert counts == {"converged": 4, "solves": 4}
+        # one index solve (RANGE='I') per box; the Neumann side is 6 + 1 counts
+        assert (ranges.count(2), ranges.count(1)) == (4, 4 * 7)
