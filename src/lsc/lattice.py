@@ -81,11 +81,13 @@ class LatticeBox:
     def dimension(self) -> int:
         return len(self.lo)
 
-    @property
+    # computed on first use and kept in the instance dict, outside the fields that
+    # equality, hashing and repr read; a frozen box never changes them
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return math.prod(self.shape)
 

@@ -7,6 +7,8 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -255,12 +257,106 @@ class TestDumpMatrix:
             diagonal=[0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                       2.2250738585072014e-308 / 3, 1e300, -1.0 / 3.0, 0.0, math.nan],
             coupling=0.0),
-    ], ids=["hkappa-M50000", "double_well_2d", "special-values"])
+        # indices that cross 9/10, 99/100 and 9999/10000, where the coupling
+        # lines change width; a lone point has no coupling line
+        lambda: random_operator(LatticeBox.centered(1, 5), 0.3),
+        lambda: random_operator(LatticeBox.centered(1, 50), 2.5),
+        lambda: random_operator(LatticeBox.centered(1, 5000), 1e-7),
+        lambda: random_operator(LatticeBox(lo=(0, 0), hi=(11, 8)), 1.0),
+        lambda: random_operator(LatticeBox(lo=(-2, 0, 3), hi=(2, 5, 9)), 0.125),
+        lambda: random_operator(LatticeBox.centered(1, 0), 1.0),
+    ], ids=["hkappa-M50000", "double_well_2d", "special-values", "1d-11", "1d-101",
+            "1d-10001", "2d-12x9", "3d-5x6x7", "1d-1"])
     def test_bytes_match_a_per_line_writer(self, tmp_path, make_op):
         op = make_op()
         cli.dump_matrix(str(tmp_path / "new.txt"), op)
         dump_reference(tmp_path / "ref.txt", op)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("kappa", [0.005, 0.0123, 0.02])
+    def test_hkappa_diagonal_needs_no_percent_pass(self, kappa):
+        # every distinct diagonal value of the benchmark's H_kappa dump takes the
+        # vectorized path; none is left to CPython's per-value conversion
+        op = assemble_Hkappa(kappa, LatticeBox.centered(1, 50_000))
+        fast, _ = cli._fixed_texts(np.unique(op.diagonal))
+        assert fast.size == 50_001 and np.count_nonzero(~fast) == 0
+
+
+def random_operator(box, coupling):
+    """An operator on ``box`` whose diagonal mixes magnitudes, signs and short texts."""
+    rng = np.random.default_rng(box.size)
+    diagonal = rng.standard_normal(box.size) * 10.0 ** rng.integers(-6, 19, box.size)
+    diagonal[::7] = np.round(diagonal[::7], 2)
+    return SymmetricLatticeOperator(box=box, diagonal=diagonal, coupling=coupling)
+
+
+def float_texts(values):
+    """The text of each row of ``cli._float_field``, NUL padding dropped."""
+    rows = cli._float_field(np.asarray(values, dtype=np.float64))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def assert_formats_as_17g(values):
+    values = np.asarray(values, dtype=np.float64)
+    assert float_texts(values) == [format(v, ".17g") for v in values.tolist()]
+
+
+class TestFloatField:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64)),
+        st.floats(allow_subnormal=True),
+        st.floats(1e-5, 1e18).flatmap(lambda v: st.sampled_from([v, -v])),
+        st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                         5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+    ), min_size=1, max_size=40))
+    def test_bit_patterns_match_format(self, values):
+        assert_formats_as_17g(values)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-10, 2.0**-30])
+    def test_exact_binary_fractions_and_ties(self, scale):
+        # n + k/8 with n in [10^14, 10^15) and k odd lies exactly halfway
+        # between two 17-digit decimals: the text rounds it to the even one
+        rng = np.random.default_rng(17)
+        n = rng.integers(10**14, 10**15, 4000)
+        values = (n + rng.integers(0, 8, n.size) / 8.0) * scale
+        values[::2] *= -1.0
+        assert_formats_as_17g(values)
+        if scale == 1.0:  # the ties take the exact path, not the fallback
+            assert cli._fixed_texts(np.unique(values))[0].all()
+
+    def test_neighbours_of_powers_of_ten(self):
+        powers = np.array([float(f"1e{k}") for k in range(-30, 31)])
+        values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                                 np.nextafter(powers, math.inf)])
+        assert_formats_as_17g(np.concatenate([values, -values]))
+
+    def test_repeated_values_share_one_text(self):
+        values = [0.1, -2.5, 0.1, math.nan, 1e300, -2.5, 0.1]
+        assert_formats_as_17g(values)
+        assert len(set(map(bytes, cli._float_field(np.array(values))))) == 4
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(100_001), np.array([0, 9, 10, 2**32 - 1, 2**32, -(2**31), -(2**32)]),
+    np.array([-(2**63), 2**63 - 1], dtype=np.int64),
+    np.array([0, 2**64 - 1], dtype=np.uint64), np.array([True, False]),
+    np.arange(-300, 300, 7, dtype=np.int16),
+], ids=["indices", "uint32-edges", "int64-edges", "uint64-edges", "bool", "int16"])
+def test_int_field_writes_str(values):
+    rows = cli._int_field(values)
+    assert [r.tobytes().replace(b"\0", b"").decode() for r in rows] == [
+        str(int(v)) for v in values.tolist()]
+
+
+def test_importing_the_cli_loads_no_decimal_arithmetic():
+    # the exact formatter needs neither module, and set-up time would pay for them
+    code = "import sys, lsc.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestSpectrumCommand:

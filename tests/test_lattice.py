@@ -1,5 +1,6 @@
 """Tests for boxes, assembled operators, interval decompositions, and partitions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,18 @@ class TestBox:
         box = LatticeBox.centered(2, 2)  # 5x5 grid: 2 * 5 * 4 edges
         i, j = box.neighbor_index_pairs()
         assert i.size == 40
+
+    def test_cached_shape_leaves_equality_hash_and_frozenness(self):
+        used, fresh = LatticeBox(lo=(-2, 0), hi=(3, 4)), LatticeBox(lo=(-2, 0), hi=(3, 4))
+        assert used.shape == (6, 5) and used.size == 30
+        assert used.shape is used.shape  # computed once
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert used != LatticeBox(lo=(-2, 0), hi=(3, 5))
+        assert {used: 1}[fresh] == 1
+        for name in ("shape", "size", "lo"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(used, name, (1,))
+        assert dataclasses.asdict(used) == {"lo": (-2, 0), "hi": (3, 4)}
 
     def test_outside_point_rejected(self):
         with pytest.raises(KeyError):

@@ -240,6 +240,36 @@ class TestValidation:
             validate_assumptions(double_well(), radius, 0.01)
 
 
+class TestRowSum:
+    """The scan's short-axis sums are left folds over columns, bit for bit NumPy's."""
+
+    @staticmethod
+    def points(d):
+        rng = np.random.default_rng(d)
+        return rng.standard_normal((20_000, d)) * 10.0 ** rng.uniform(-3, 3, (20_000, d))
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_matches_the_axis_sum(self, d):
+        terms = self.points(d) ** 2
+        assert np.array_equal(potentials._row_sum(terms).view(np.int64),
+                              terms.sum(axis=-1).view(np.int64))
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_evaluators_keep_their_bits(self, d):
+        pts = self.points(d)
+        om = np.linspace(0.5, 2.0, d)
+        a = np.zeros(d)
+        a[0] = 1.5
+        vp = 0.5 * 1.3**2 * ((pts - a) ** 2).sum(axis=-1)
+        vm = 0.5 * 1.3**2 * ((pts + a) ** 2).sum(axis=-1)
+        pairs = [(harmonic(om), 0.5 * ((om**2) * pts**2).sum(axis=-1)),
+                 (two_well(omega=1.3, separation=3.0, d=d), vp * vm / (vp + vm))]
+        if d > 1:
+            pairs.append((double_well_nd(d), (0.5 * (pts * pts - 1.0) ** 2).sum(axis=-1)))
+        for V, want in pairs:
+            assert np.array_equal(V.evaluator(pts).view(np.int64), want.view(np.int64))
+
+
 class TestScalingParams:
     @pytest.mark.parametrize("N,gamma,omega", [(16, 0.0, 1.0), (1024, 0.5, 2.0), (7, -0.75, 0.3)])
     def test_derived_quantities_exact(self, N, gamma, omega):
