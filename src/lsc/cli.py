@@ -126,8 +126,9 @@ _DOT, _ZERO, _SIGN, _NUL = 17, 18, 19, 20  # source rows after the 17 digits
 def _fixed_layout() -> np.ndarray:
     """For each decimal exponent X = -4 ... 16, the source row of each of the 23
     characters of the fixed-notation text.  The source rows of a value are its 17
-    digits (trailing zeros as NUL), the point (NUL when no fraction digit is
-    left), "0", the sign (NUL when positive) and a NUL."""
+    digits (a zero past both the point and the last nonzero digit as NUL), the
+    point (NUL when no fraction digit is left), "0", the sign (NUL when positive)
+    and a NUL."""
     layout = np.full((21, 23), _NUL, dtype=np.intp)
     for X in range(-4, 17):
         cols = ([_SIGN, *range(X + 1), _DOT, *range(X + 1, 17)] if X >= 0 else
@@ -190,7 +191,8 @@ def _float_field(values: np.ndarray) -> np.ndarray:
     either end).  Each distinct float (by bit pattern, so -0.0 and NaN keep their
     text) is formatted once.  Fixed-notation values go through the exact
     vectorized path of ``_fixed_texts``; the rest (zero, inf, NaN, scientific
-    notation, an exponent that ``log10`` misjudges) go through one ``%`` pass,
+    notation, an exponent that ``log10`` misjudges, digits that carry into an
+    eighteenth) go through one ``%`` pass,
     CPython's correctly rounded conversion.  Both write the bytes of
     ``format(v, ".17g")``."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)

@@ -331,11 +331,6 @@ class TestFloatField:
                                  np.nextafter(powers, math.inf)])
         assert_formats_as_17g(np.concatenate([values, -values]))
 
-    def test_repeated_values_share_one_text(self):
-        values = [0.1, -2.5, 0.1, math.nan, 1e300, -2.5, 0.1]
-        assert_formats_as_17g(values)
-        assert len(set(map(bytes, cli._float_field(np.array(values))))) == 4
-
 
 @pytest.mark.parametrize("values", [
     np.arange(100_001), np.array([0, 9, 10, 2**32 - 1, 2**32, -(2**31), -(2**32)]),
