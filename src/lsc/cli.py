@@ -587,7 +587,7 @@ def cmd_validate(cfg: RunConfig) -> _Output:
     ]
     return (["check", "passed", "detail"], rows,
             EXIT_OK if report.passed else EXIT_VALIDATION,
-            {"zero_count": report.zero_count})
+            {"zero_count": report.zero_count, "scan_step": report.scan_step})
 
 
 def cmd_kappa(cfg: RunConfig) -> _Output:

@@ -8,7 +8,7 @@ absolute tolerance ``2 * tiny``, LAPACK's most accurate setting.  On
 count to about 2e-14 relative at ``kappa = 0.05`` and 1.5e-11 at
 ``kappa = 4096^(-3/4)``, where ``E / |H|`` is about 1e-6.  The truncation
 of a 1-d operator on ``Z`` to a box is certified by a Dirichlet-Neumann
-bracket, with box doubling as the fallback.  Lattice
+bracket, the box doubling until the bracket closes.  Lattice
 operators in ``d >= 2`` are solved by shift-invert Lanczos (ARPACK) and
 their eigenvalue index is certified by a block Sylvester-inertia count, the
 d-dimensional analogue of the Sturm count: a block LDL^T along axis 0 whose
@@ -87,10 +87,11 @@ def _as_tridiagonal(op) -> tuple[np.ndarray, np.ndarray]:
 class SpectrumResult:
     """Sorted low-lying eigenvalues with optional vectors and metadata.
 
-    ``truncation_width`` is set when a Dirichlet-Neumann bracket certified
-    the box truncation: per level, how far the Dirichlet value may lie above
-    the level on the whole lattice, which is the acceptance tolerance
-    ``BOX_DOUBLING_RTOL * (1 + |E|)``.
+    ``truncation_width`` is set on every :func:`converged_spectrum` result,
+    where a Dirichlet-Neumann bracket certified the box truncation: per
+    level, how far the Dirichlet value may lie above the level on the whole
+    lattice, which is the acceptance tolerance ``BOX_DOUBLING_RTOL * (1 +
+    |E|)``.  Single-box solves leave it ``None``.
     """
 
     values: np.ndarray
@@ -523,8 +524,7 @@ def converged_spectrum(
     outside_floor: Callable[[int], float],
 ) -> SpectrumResult:
     """Lowest ``k`` levels of a 1-d lattice operator on ``Z``, certified on a
-    truncated box by a Dirichlet-Neumann bracket, with box doubling as the
-    fallback.
+    truncated box by a Dirichlet-Neumann bracket.
 
     ``assemble(M)`` builds the Dirichlet operator on the half-width ``M``
     box; ``outside_floor(M)`` is a lower bound of its potential part
@@ -542,13 +542,10 @@ def converged_spectrum(
     j`` for every ``j < k``, that is ``cur_j - tol_j < neu_j``, and reports
     ``tol`` as ``truncation_width``.  The counts are skipped when ``cur_k -
     tol_k`` already reaches the floor, since both conditions cannot then hold.
-    Failing that, it accepts ``cur`` when no level moved by more than ``tol``
-    since the previous box (``truncation_width`` stays ``None``), and
-    otherwise doubles ``M``.  After ``MAX_DOUBLINGS`` doublings it raises
+    Otherwise ``M`` doubles; after ``MAX_DOUBLINGS`` doublings it raises
     :class:`BoxTooSmall`.
     """
     M = int(M0)
-    prev = None
     for doubling in range(MAX_DOUBLINGS + 1):
         if doubling:
             M *= 2
@@ -563,10 +560,7 @@ def converged_spectrum(
                     and all(_stebz(neu, off, upper=x) <= j
                             for j, x in enumerate(cur.values - tol))):
                 return dataclasses.replace(cur, truncation_width=tol)
-        if prev is not None and np.all(np.abs(cur.values - prev.values) <= tol):
-            return cur
-        prev = cur
     raise BoxTooSmall(
-        f"spectrum still moves under doubling at half-width {M} "
+        f"truncation bracket still open at half-width {M} "
         f"after {MAX_DOUBLINGS} doublings"
     )

@@ -2,8 +2,8 @@
 
 A :class:`Potential` bundles an evaluator ``V: R^d -> R`` with the list of
 its zeros (the "wells"), the square roots ``omega_i`` of the Hessian
-eigenvalues at each well, and positivity metadata ``(R0, c)`` recording
-that ``V >= c`` outside the ball of radius ``R0``.  These are exactly the
+eigenvalues at each well, and a positivity law ``(R0, floor)`` recording
+that ``V(x) >= floor(r)`` wherever ``|x| >= r > R0``.  These are exactly the
 data that determine the limit spectrum of the scaled lattice operators,
 so they are treated as part of the potential, not re-derived on the fly.
 
@@ -82,8 +82,9 @@ class Potential:
     """Evaluable potential plus well and positivity metadata.
 
     ``evaluator`` maps an ``(m, d)`` float array of points to ``(m,)``
-    values.  ``positivity_radius``/``positivity_floor`` are the ``(R0, c)``
-    pair certifying positivity at infinity; they are supplied, never
+    values.  ``floor`` maps radii ``r > positivity_radius`` (vectorized) to
+    nondecreasing lower bounds of ``V`` on ``|x| >= r``, the truncation
+    floor of :func:`lsc.semiclassics.levels_HN`; it is supplied, never
     inferred.  ``axis_potentials`` carries the one-dimensional factors when
     the potential is a separable sum over coordinates; :attr:`separable`
     says whether it does.
@@ -93,13 +94,15 @@ class Potential:
     evaluator: Callable[[np.ndarray], np.ndarray]
     wells: tuple[Well, ...]
     positivity_radius: float
-    positivity_floor: float
+    floor: Callable[[np.ndarray], np.ndarray]
     axis_potentials: tuple["Potential", ...] | None = None
     name: str = "custom"
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be a positive integer")
+        if not callable(self.floor):
+            raise ValueError(f"floor must be a callable of the radius, got {self.floor!r}")
         for well in self.wells:
             if well.dimension != self.dimension:
                 raise ValueError("well dimension mismatch")
@@ -223,6 +226,7 @@ class ValidationReport:
     positive_at_infinity: bool
     floor_margin: float
     zero_count: int
+    scan_step: float
     smoothness: str = "assumed"
 
     @property
@@ -251,16 +255,16 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _scan_grid(d: int, radius: float, step: float) -> np.ndarray:
+def _scan_grid(d: int, radius: float, step: float) -> tuple[np.ndarray, float]:
     axis = np.arange(-radius, radius + 0.5 * step, step)
     if d == 1:
-        return axis.reshape(-1, 1)
+        return axis.reshape(-1, 1), step
     # keep multi-dimensional scans below ~2e6 points by coarsening
     while axis.size**d > 2_000_000:
         step *= 2.0
         axis = np.arange(-radius, radius + 0.5 * step, step)
     grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, d)
+    return np.stack(grids, axis=-1).reshape(-1, d), step
 
 
 def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> ValidationReport:
@@ -268,7 +272,9 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
 
     Checks nonnegativity on the grid, validity of every registered well,
     absence of unregistered near-zeros away from the wells, and the
-    positivity floor between ``R0`` and the scan radius.  Smoothness is not
+    positivity law on the ring between ``R0`` and the scan radius: ``V(x) >=
+    floor(|x|)`` (least slack ``floor_margin``), and ``floor`` nondecreasing
+    in ``r`` at the ``scan_step`` the grid was scanned at.  Smoothness is not
     numerically checkable and is reported as assumed.
     """
     if not math.isfinite(scan_radius):
@@ -278,7 +284,7 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
         raise ValueError("scan_radius must exceed max well coordinate + 1")
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid_step must be positive and finite, got grid_step={grid_step}")
-    pts = _scan_grid(V.dimension, scan_radius, grid_step)
+    pts, scan_step = _scan_grid(V.dimension, scan_radius, grid_step)
     vals = eval_potential(V, pts)
 
     i_min = int(np.argmin(vals))
@@ -316,8 +322,10 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
     norms = np.sqrt(_row_sum(pts**2))
     ring = (norms > V.positivity_radius) & (norms <= scan_radius)
     if np.any(ring):
-        floor_margin = float(vals[ring].min() - V.positivity_floor)
-        positive = bool(floor_margin >= 0.0)
+        floor_margin = float((vals[ring] - V.floor(norms[ring])).min())
+        radii = np.arange(scan_radius, V.positivity_radius, -scan_step)[::-1]
+        law = np.broadcast_to(V.floor(radii), radii.shape)
+        positive = bool(floor_margin >= 0.0 and (np.diff(law) >= 0.0).all())
     else:
         floor_margin = math.nan
         positive = False
@@ -332,6 +340,7 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
         positive_at_infinity=positive,
         floor_margin=floor_margin,
         zero_count=len(V.wells),
+        scan_step=scan_step,
     )
 
 
@@ -387,13 +396,13 @@ def harmonic(omega: float | Sequence[float]) -> Potential:
     axis = None
     if d > 1:
         axis = tuple(harmonic([w]) for w in om)
-    floor = 0.5 * float(om.min()) ** 2
+    w2 = float(om.min()) ** 2
     return Potential(
         dimension=d,
         evaluator=evaluator,
         wells=(well,),
         positivity_radius=1.0,
-        positivity_floor=floor,
+        floor=lambda r: 0.25 * w2 * (r * r + 1.0),  # <= w2 r^2 / 2 for r >= 1
         axis_potentials=axis,
         name="harmonic",
     )
@@ -418,7 +427,7 @@ def double_well() -> Potential:
         evaluator=evaluator,
         wells=wells,
         positivity_radius=2.0,
-        positivity_floor=4.0,
+        floor=lambda r: 0.5 * r * r * (r * r - 2.0),  # V - floor = 1/2
         name="double_well",
     )
 
@@ -442,7 +451,8 @@ def double_well_nd(d: int) -> Potential:
         evaluator=evaluator,
         wells=tuple(wells),
         positivity_radius=2.0 * math.sqrt(d),
-        positivity_floor=4.0,
+        # by Cauchy-Schwarz V >= (r^2 - d)^2 / (2 d), this law plus d / 2
+        floor=lambda r: 0.5 * r * r * (r * r / d - 2.0),
         axis_potentials=tuple(double_well() for _ in range(d)),
         name=f"double_well_{d}d",
     )
@@ -470,15 +480,14 @@ def two_well(omega: float = 1.0, separation: float = 2.0, d: int = 1) -> Potenti
         Well(location=-a, frequencies=np.full(d, omega)),
         Well(location=a, frequencies=np.full(d, omega)),
     )
-    radius = separation
-    # on |x| = radius the softened value is at least a quarter of min parabola
-    floor = 0.125 * omega**2 * (separation / 2.0) ** 2
     return Potential(
         dimension=d,
         evaluator=evaluator,
         wells=wells,
-        positivity_radius=radius,
-        positivity_floor=floor,
+        positivity_radius=separation,
+        # the soft minimum is at least half the nearer parabola, which is at
+        # least omega^2 (r - a)^2 / 2 on |x| >= r > a
+        floor=lambda r: 0.25 * omega**2 * (r - 0.5 * separation) ** 2,
         name="two_well",
     )
 

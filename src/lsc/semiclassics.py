@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,22 +166,6 @@ def predicted_growth_exponent(gamma: float) -> float:
     return 2.0 * abs(gamma)
 
 
-def _converged_1d(
-    assemble: Callable[[LatticeBox], SymmetricLatticeOperator],
-    M0: int,
-    count: int,
-    outside_floor: Callable[[int], float],
-) -> SpectrumResult:
-    """Lowest ``count`` levels of a 1-d operator from half-width ``M0``:
-    certified by a Dirichlet-Neumann bracket, or else under box doubling
-    (:func:`eigensolve.converged_spectrum`).  ``assemble(box)`` builds it on
-    a centered box, and ``outside_floor(M)`` bounds its potential part
-    ``diagonal - 2 * coupling`` from below outside the half-width ``M`` box."""
-    return eigensolve.converged_spectrum(
-        lambda M: assemble(LatticeBox.centered(1, M)), M0, count, outside_floor
-    )
-
-
 # ----------------------------------------------------------------------
 # quadratic-well studies
 # ----------------------------------------------------------------------
@@ -195,8 +178,9 @@ def harmonic_levels(kappa: float, count: int) -> SpectrumResult:
     Dirichlet-Neumann bracket.
     """
     M0 = hermite.box_halfwidth(count - 1, kappa)
-    return _converged_1d(partial(lattice.assemble_Hkappa, kappa), M0, count,
-                         lambda M: kappa**4 * (M + 1) ** 2)
+    return eigensolve.converged_spectrum(
+        lambda M: lattice.assemble_Hkappa(kappa, LatticeBox.centered(1, M)), M0, count,
+        lambda M: kappa**4 * (M + 1) ** 2)
 
 
 @dataclass(frozen=True)
@@ -300,30 +284,37 @@ def _box_start_halfwidth(V: Potential, params: ScalingParams, count: int) -> int
     )
 
 
+def _outside_floor(V1: Potential, params: ScalingParams) -> Callable[[int], float]:
+    """Lower bound of the potential part of ``H_N`` for a 1-d ``V1`` outside the
+    half-width ``M`` box: every point there has ``|x| >= (M + 1) / N``, so it
+    is ``N^(2(1-gamma)) floor((M + 1) / N)`` once ``(M + 1) / N`` is past the
+    positivity radius ``R0``, and ``-inf`` before."""
+    strength = float(params.N) ** (2.0 * (1.0 - params.gamma))
+
+    def outside_floor(M: int) -> float:
+        r = (M + 1) / params.N
+        return strength * float(V1.floor(r)) if r > V1.positivity_radius else -math.inf
+
+    return outside_floor
+
+
 def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
     """Low-lying levels of the scaled operator.
 
-    One dimension is certified by a Dirichlet-Neumann bracket with box
-    doubling as the fallback; the floor outside the half-width ``M`` box is
-    ``N^(2(1-gamma)) c`` once ``M + 1 > N R0`` for the potential's ``(R0,
-    c)`` positivity pair, and ``-inf`` before.  Separable sums use the
-    tensorized route.  Non-separable ``d >= 2`` potentials are solved once
-    on the starting box by :func:`eigensolve.eigs_sparse` (shift-invert
-    Lanczos with an inertia-count index certificate), still without box
-    doubling and capped at 4096 points.
+    One dimension is certified by a Dirichlet-Neumann bracket whose floor
+    outside the half-width ``M`` box is ``N^(2(1-gamma)) floor((M + 1) / N)``
+    (:func:`_outside_floor`), the box doubling until it certifies.  Separable
+    sums use the tensorized route.  Non-separable ``d >= 2`` potentials are
+    solved once on the starting box by :func:`eigensolve.eigs_sparse`
+    (shift-invert Lanczos with an inertia-count index certificate), still
+    without box doubling and capped at 4096 points.
     """
-    strength = float(params.N) ** (2.0 * (1.0 - params.gamma))
 
     def levels_1d(V1: Potential) -> np.ndarray:
-        M0 = _box_start_halfwidth(V1, params, count)
-
-        def outside_floor(M: int) -> float:
-            if M + 1 > params.N * V1.positivity_radius:
-                return strength * V1.positivity_floor
-            return -math.inf
-
-        return _converged_1d(partial(lattice.assemble_HN, V1, params), M0, count,
-                             outside_floor).values
+        return eigensolve.converged_spectrum(
+            lambda M: lattice.assemble_HN(V1, params, LatticeBox.centered(1, M)),
+            _box_start_halfwidth(V1, params, count), count,
+            _outside_floor(V1, params)).values
 
     if V.dimension == 1:
         return levels_1d(V)
@@ -477,9 +468,9 @@ def regime_sweep(
     M0 = max(16, 4 * count)
 
     def chain_levels(scale: float, hop: float) -> np.ndarray:
-        assemble = partial(_quadratic_chain, scale, hop, omega)
-        return _converged_1d(assemble, M0, count,
-                             lambda M: scale * 0.5 * omega**2 * (M + 1) ** 2).values
+        return eigensolve.converged_spectrum(
+            lambda M: _quadratic_chain(scale, hop, omega, LatticeBox.centered(1, M)),
+            M0, count, lambda M: scale * 0.5 * omega**2 * (M + 1) ** 2).values
 
     rows: list[RegimeRow] = []
     energies: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -505,7 +496,9 @@ def regime_sweep(
             minus_one_dev = float(
                 np.max(np.abs(scaled - scaled[0]) / np.abs(scaled[0]))
             )
-            pred_consts = scaled[0]
+            # H_N / N^2 = H_1 = H_kappa / 2 at kappa = sqrt(omega): a prediction
+            # from another operator, not from the ladder being fitted
+            pred_consts = 0.5 * harmonic_levels(math.sqrt(omega), count).values
             fitted_consts = scaled[-1]
         else:
             Ns = [N for N in Ns_all if N <= GAMMA_BELOW_CAP]

@@ -297,7 +297,7 @@ def three_well():
     wells = tuple(Well(location=a, frequencies=np.array([om]))
                   for a, om in zip(locs, oms))
     return Potential(dimension=1, evaluator=evaluator, wells=wells,
-                     positivity_radius=4.0, positivity_floor=0.2,
+                     positivity_radius=4.0, floor=lambda r: 0.2 + 0.0 * r,
                      name="three_well")
 
 

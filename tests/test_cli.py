@@ -20,6 +20,7 @@ from lsc.lattice import LatticeBox, SymmetricLatticeOperator, assemble_HN, assem
 from lsc.potentials import (
     Potential,
     ScalingParams,
+    Well,
     double_well,
     double_well_nd,
     harmonic,
@@ -551,7 +552,7 @@ class TestExitCodes:
                 evaluator=lambda pts: pts[:, 0] ** 2 - 0.1,
                 wells=(),
                 positivity_radius=2.0,
-                positivity_floor=1.0,
+                floor=lambda r: 1.0 + 0.0 * r,
                 name="dipped",
             )
 
@@ -569,6 +570,41 @@ class TestExitCodes:
         summary = json.loads((tmp_path / "v.json").read_text())
         assert summary["pass"] is True
         assert summary["measured_constants"]["zero_count"] == 2
+
+    def test_validate_reports_the_step_it_scanned(self, tmp_path):
+        # a 2-d scan at 0.004 would hold 2917^2 points; it runs at 0.016
+        code = run(["validate", "--potential", "double_well_2d", "--grid-step", "0.004"],
+                   tmp_path, out="v.csv", json="v.json")
+        assert code == 0
+        summary = json.loads((tmp_path / "v.json").read_text())
+        assert summary["params"]["grid_step"] == 0.004
+        assert summary["measured_constants"]["scan_step"] == 0.016
+
+    @pytest.mark.parametrize("name, floor, margin", [
+        ("decreasing_floor", lambda r: 3.0 - 0.1 * r, 1.2),  # below V, decreasing
+        ("violated_floor", lambda r: r * r + 1.0, -1.0),  # increasing, above V
+    ], ids=["decreasing", "violated"])
+    def test_floor_law_failure_is_validation_exit(self, tmp_path, name, floor, margin):
+        register_potential(name, lambda: Potential(
+            dimension=1, evaluator=lambda pts: pts[:, 0] ** 2,
+            wells=(Well(location=np.zeros(1), frequencies=np.full(1, 2**0.5)),),
+            positivity_radius=2.0, floor=floor, name=name))
+        code = run(["validate", "--potential", name], tmp_path, out="v.csv")
+        assert code == cli.EXIT_VALIDATION
+        _, rows = read_rows(tmp_path / "v.csv")
+        assert [(r[0], r[1]) for r in rows] == [
+            ("nonnegative", "1"), ("wells", "1"), ("no_unregistered_zeros", "1"),
+            ("positive_at_infinity", "0"), ("smoothness", "1")]
+        assert float(rows[3][2]) == pytest.approx(margin, abs=0.05)
+
+    def test_non_callable_floor_is_config_error(self, tmp_path, capsys):
+        register_potential("constant_floor", lambda: Potential(
+            dimension=1, evaluator=lambda pts: pts[:, 0] ** 2, wells=(),
+            positivity_radius=2.0, floor=1.0, name="constant_floor"))
+        code = run(["validate", "--potential", "constant_floor"], tmp_path, out="v.csv")
+        assert code == cli.EXIT_CONFIG
+        assert "floor must be a callable of the radius, got 1.0" in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()
 
     @pytest.mark.parametrize("command", ["quasimode", "spectrum"])
     def test_zero_kappa_is_config_error(self, tmp_path, capsys, command):
@@ -748,7 +784,7 @@ class TestExitCodes:
     def test_failed_assumptions_exit_3_without_files(self, tmp_path, capsys):
         register_potential("dipped_converge", lambda: Potential(
             dimension=1, evaluator=lambda pts: pts[:, 0] ** 2 - 0.1, wells=(),
-            positivity_radius=2.0, positivity_floor=1.0, name="dipped_converge"))
+            positivity_radius=2.0, floor=lambda r: 1.0 + 0.0 * r, name="dipped_converge"))
         code = run(["converge", "--potential", "dipped_converge", "--N", "8,16"],
                    tmp_path, out="c.csv", json="c.json")
         assert code == cli.EXIT_VALIDATION
@@ -1032,7 +1068,11 @@ class TestParseContract:
 # re-recorded when psi_fourth_derivative became the closed form from the
 # oscillator equation: only its "stencil_vs_integral" moved, from
 # 5.440092820663267e-15 to 5.329070518200751e-15, because the Taylor-remainder
-# integrand now rounds differently; the CSV bytes stayed as they were
+# integrand now rounds differently; the CSV bytes stayed as they were.  The
+# validate digests were re-recorded when the constant positivity floor became
+# a growing law: the positive_at_infinity detail, min of V - floor(|x|) on the
+# ring, went from 0.50000000000076739 to 0.5 (V - floor is 1/2 identically for
+# the double well), and the JSON gained "scan_step": 0.02
 README_GOLDEN = {
     "sigma": (
         "sigma --potential harmonic --omega 1 --count 4",
@@ -1076,8 +1116,8 @@ README_GOLDEN = {
     ),
     "validate": (
         "validate --potential double_well --grid-step 0.02",
-        "a828bbc0c70b56da5c555435eb7fcc328b3ddb839f2102db3918546d4eb30eff",
-        "9743937294d5b720f038e71edff0f090db1457b9643bf7414f9847fb0efbf1f8",
+        "1c5b479fdbdba3ac1564749fb8b81021d58f4989fcd34cd03aec76661cf1e273",
+        "a1caf319e6b8fb6521e36715d360f6da93cf1becc51187f1bcc448734d48384d",
     ),
     "quasimode_bench": (
         "quasimode --kappa 0.2,0.1,0.05 --nmax 5",

@@ -776,7 +776,7 @@ class TestTruncationBracket:
         assert_bracket_encloses(assemble, hermite.box_halfwidth(5, kappa), 6,
                                 lambda M: kappa**4 * (M + 1) ** 2)
 
-    def test_small_start_box_falls_back_to_doubling(self):
+    def test_small_start_box_doubles_until_certified(self):
         kappa = 0.2
         boxes = []
 
@@ -787,26 +787,25 @@ class TestTruncationBracket:
         res = converged_spectrum(assemble, 4, 3, lambda M: kappa**4 * (M + 1) ** 2)
         assert len(boxes) > 1 and boxes == [4 * 2**j for j in range(len(boxes))]
         assert res.box == LatticeBox.centered(1, boxes[-1])
+        np.testing.assert_array_equal(
+            res.truncation_width, eigensolve.BOX_DOUBLING_RTOL * (1.0 + np.abs(res.values)))
         big = eigs_tridiag(assemble_Hkappa(kappa, LatticeBox.centered(1, 400)), 3).values
         np.testing.assert_allclose(res.values, big, rtol=1e-10)
 
     @pytest.mark.parametrize("floor", [0.0, -math.inf])
     def test_floor_below_the_levels_skips_neumann_and_doubles(self, monkeypatch, floor):
-        # a floor the Dirichlet levels already reach cannot certify: only the
-        # Dirichlet solves run, no Neumann count, the doubling test accepts
-        # the doubled box as before the bracket, and no width is reported
+        # a floor the Dirichlet levels already reach cannot certify: every box
+        # is one Dirichlet solve and no Neumann count, and the doubling ends
+        # in BoxTooSmall, for no other rule accepts a box
         kappa = 0.2
         ranges = record_dstebz_ranges(monkeypatch)
 
         def assemble(M):
             return assemble_Hkappa(kappa, LatticeBox.centered(1, M))
 
-        M0 = hermite.box_halfwidth(2, kappa)
-        res = converged_spectrum(assemble, M0, 3, lambda M: floor)
-        assert ranges == [2, 2]
-        assert res.truncation_width is None
-        assert res.box == LatticeBox.centered(1, 2 * M0)
-        np.testing.assert_array_equal(res.values, eigs_tridiag(assemble(2 * M0), 3).values)
+        with pytest.raises(BoxTooSmall, match="after 14 doublings"):
+            converged_spectrum(assemble, 4, 3, lambda M: floor)
+        assert ranges == [2] * (eigensolve.MAX_DOUBLINGS + 1)
 
     def test_accepted_box_is_one_solve_and_k_plus_one_counts(self, monkeypatch):
         # the Neumann side of the bracket is Sturm counts (RANGE='V'), never
@@ -850,19 +849,24 @@ class TestTruncationBracket:
         np.testing.assert_array_equal(
             res.truncation_width, eigensolve.BOX_DOUBLING_RTOL * (1.0 + np.abs(res.values)))
 
-    def test_neumann_level_at_the_floor_is_not_certified(self):
+    def test_neumann_level_at_the_floor_is_not_certified(self, monkeypatch):
         # a floor at the top level passes the width test but not the index
-        # condition, since the outside spectrum may then hold a lower level
+        # condition, since the outside spectrum may then hold a lower level:
+        # every box stops at that first count, and the doubling gives up (two
+        # doublings here, for the levels do not move past the start box)
         kappa = 0.2
+        ranges = record_dstebz_ranges(monkeypatch)
+        monkeypatch.setattr(eigensolve, "MAX_DOUBLINGS", 2)
 
         def assemble(M):
             return assemble_Hkappa(kappa, LatticeBox.centered(1, M))
 
         M0 = hermite.box_halfwidth(2, kappa)
         top = eigs_tridiag(assemble(M0), 3).values[-1]
-        res = converged_spectrum(assemble, M0, 3, lambda M: top)
-        assert res.truncation_width is None
-        assert res.box == LatticeBox.centered(1, 2 * M0)
+        ranges.clear()
+        with pytest.raises(BoxTooSmall, match=f"half-width {4 * M0} after 2 doublings"):
+            converged_spectrum(assemble, M0, 3, lambda M: top)
+        assert ranges == [2, 1] * 3
 
     def test_stebz_reports_missing_values(self, monkeypatch):
         def short(diag, off, *args):

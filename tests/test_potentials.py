@@ -30,7 +30,7 @@ def quartic_no_well():
         evaluator=lambda pts: pts[:, 0] ** 4,
         wells=(),
         positivity_radius=2.0,
-        positivity_floor=1.0,
+        floor=lambda r: 1.0 + 0.0 * r,
         name="quartic",
     )
 
@@ -117,7 +117,7 @@ class TestHessian:
             evaluator=rotated,
             wells=(Well(location=np.zeros(2), frequencies=om),),
             positivity_radius=1.0,
-            positivity_floor=0.4,
+            floor=lambda r: 0.4 + 0.0 * r,
             name="rotated_harmonic",
         )
         freqs = hessian_frequencies(V, [0.0, 0.0])
@@ -153,7 +153,7 @@ class TestWellInvariants:
                 evaluator=lambda pts: pts[:, 0] ** 2,
                 wells=(Well(location=np.array([1.0]), frequencies=np.array([1.0])),),
                 positivity_radius=2.0,
-                positivity_floor=1.0,
+                floor=lambda r: 1.0 + 0.0 * r,
             )
 
     def test_separable_follows_axis_factors(self):
@@ -165,7 +165,7 @@ class TestWellInvariants:
                 evaluator=lambda pts: (pts * pts).sum(axis=-1),
                 wells=(),
                 positivity_radius=1.0,
-                positivity_floor=1.0,
+                floor=lambda r: 1.0 + 0.0 * r,
                 axis_potentials=(double_well(),),
             )
 
@@ -176,18 +176,44 @@ class TestWellInvariants:
 
 
 class TestPositivityMetadata:
-    # the truncation bracket takes N^(2(1 - gamma)) c as the potential's floor
-    # outside a box past N R0, so the (R0, c) pair must hold far out too
+    # the truncation bracket takes N^(2(1 - gamma)) floor((M + 1) / N) as the
+    # potential's floor outside a box past N R0, so the law must hold far out
+    # too, and must not decrease, for it bounds every point beyond the edge
     @pytest.mark.parametrize("V", [
         harmonic([0.5]), harmonic([1.0]), harmonic([2.0]), double_well(),
-        two_well(), two_well(omega=2.0, separation=1.0),
+        two_well(), two_well(omega=2.0, separation=1.0), harmonic([0.5, 2.0]),
+        double_well_nd(2), two_well(d=2),
     ], ids=["harmonic-0.5", "harmonic-1", "harmonic-2", "double_well", "two_well",
-            "two_well-2-1"])
+            "two_well-2-1", "harmonic-0.5-2", "double_well_2d", "two_well_2d"])
     def test_floor_holds_out_to_a_hundred_radii(self, V):
         R0 = V.positivity_radius
-        y = np.linspace(R0, 100.0 * R0, 200_001)[1:]
-        values = eval_potential(V, np.concatenate([-y, y])[:, None])
-        assert values.min() >= V.positivity_floor
+        r = np.linspace(R0, 100.0 * R0, 200_001)[1:]
+        if V.dimension == 1:
+            directions = np.array([[-1.0], [1.0]])
+        else:  # sixteen random directions at a tenth of the radii
+            r = r[::10]
+            u = np.random.default_rng(11).standard_normal((16, V.dimension))
+            directions = u / np.linalg.norm(u, axis=1, keepdims=True)
+        pts = (directions[:, None, :] * r[:, None]).reshape(-1, V.dimension)
+        law = V.floor(np.linalg.norm(pts, axis=1))
+        assert np.all(eval_potential(V, pts) >= law)
+        assert np.all(np.diff(V.floor(r)) >= 0.0)
+
+    @pytest.mark.parametrize("V, constant", [
+        (harmonic([0.5, 2.0]), 0.125), (double_well(), 4.0), (double_well_nd(2), 4.0),
+        (two_well(), 0.125), (two_well(omega=2.0, separation=1.0), 0.125),
+    ], ids=["harmonic-0.5-2", "double_well", "double_well_2d", "two_well",
+            "two_well-2-1"])
+    def test_law_starts_at_least_at_the_constant_floor(self, V, constant):
+        # the laws replace constants c with V >= c past R0; they never start lower
+        assert V.floor(V.positivity_radius) >= constant
+
+    @pytest.mark.parametrize("floor", [1.0, None, "r**2"])
+    def test_non_callable_floor_rejected(self, floor):
+        with pytest.raises(ValueError, match="floor must be a callable of the radius"):
+            Potential(dimension=1, evaluator=lambda pts: pts[:, 0] ** 2, wells=(),
+                      positivity_radius=1.0, floor=floor)
+
 
 class TestValidation:
     def test_harmonic_all_pass(self):
@@ -202,13 +228,20 @@ class TestValidation:
         assert report.zero_count == 2
         assert report.floor_margin >= 0.0
 
+    def test_scan_step_reports_the_coarsened_grid(self):
+        # 2-d scans coarsen until at most 2e6 points remain; 1-d scans do not
+        assert validate_assumptions(double_well(), 5.0, 0.004).scan_step == 0.004
+        for step in (0.004, 0.001):
+            report = validate_assumptions(double_well_nd(2), 2.0 * 2**0.5 + 3.0, step)
+            assert report.scan_step == 0.016
+
     def test_negative_potential_flagged(self):
         V = Potential(
             dimension=1,
             evaluator=lambda pts: pts[:, 0] ** 2 - 0.1,
             wells=(),
             positivity_radius=2.0,
-            positivity_floor=1.0,
+            floor=lambda r: 1.0 + 0.0 * r,
             name="dipped",
         )
         report = validate_assumptions(V, 5.0, 0.01)
@@ -223,7 +256,7 @@ class TestValidation:
             evaluator=lambda pts: 0.5 * (pts[:, 0] ** 2 - 1.0) ** 2,
             wells=(Well(location=np.array([1.0]), frequencies=np.array([2.0])),),
             positivity_radius=2.0,
-            positivity_floor=4.0,
+            floor=lambda r: 4.0 + 0.0 * r,
             name="half_registered",
         )
         report = validate_assumptions(V, 5.0, 0.01)

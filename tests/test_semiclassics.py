@@ -1,5 +1,6 @@
 """Tests for the experiment drivers: limit spectra, studies, sweeps, certificates."""
 
+import dataclasses
 import heapq
 import math
 import tracemalloc
@@ -95,7 +96,7 @@ def wells_potential(frequencies):
         for l, w in enumerate(frequencies)
     )
     return Potential(dimension=d, evaluator=lambda pts: np.zeros(pts.shape[0]),
-                     wells=wells, positivity_radius=1.0, positivity_floor=0.1,
+                     wells=wells, positivity_radius=1.0, floor=lambda r: 0.1 + 0.0 * r,
                      name="wells")
 
 
@@ -129,7 +130,7 @@ def three_well_potential():
         evaluator=evaluator,
         wells=wells,
         positivity_radius=4.0,
-        positivity_floor=0.2,
+        floor=lambda r: 0.2 + 0.0 * r,
         name="three_well",
     )
 
@@ -349,6 +350,24 @@ class TestRegimeSweep:
         assert sweep.row(0.0, 0).slope_fit == pytest.approx(1.0, abs=0.02)
         assert sweep.row(0.0, 0).limit_const_pred == 0.5
 
+    def test_kink_prediction_comes_from_another_operator(self, monkeypatch):
+        # a perturbed chain moves the fitted kink constants but not the
+        # predicted ones, which are the levels of H_kappa / 2 at sqrt(omega)
+        chain = semiclassics._quadratic_chain
+
+        def perturbed(scale, hop, omega, box):
+            op = chain(scale, hop, omega, box)
+            return dataclasses.replace(op, diagonal=op.diagonal * (1.0 + 1e-6))
+
+        clean = regime_sweep(0.8, [-1.0], [2, 4, 8], 2)
+        monkeypatch.setattr(semiclassics, "_quadratic_chain", perturbed)
+        moved = regime_sweep(0.8, [-1.0], [2, 4, 8], 2)
+        for n in range(3):
+            assert moved.row(-1.0, n).limit_const_fit != clean.row(-1.0, n).limit_const_fit
+            assert moved.row(-1.0, n).limit_const_pred == clean.row(-1.0, n).limit_const_pred
+            assert clean.row(-1.0, n).limit_const_pred == pytest.approx(
+                clean.row(-1.0, n).limit_const_fit, rel=1e-15)
+
     def test_needs_three_ladder_points(self):
         with pytest.raises(ValueError):
             regime_sweep(1.0, [0.0], [8, 16], 1)
@@ -528,14 +547,13 @@ class TestTruncationBracket:
     def test_encloses_the_double_well_levels(self):
         V = double_well()
         params = ScalingParams(N=256, gamma=0.0, omega=2.0)
-        floor = 256.0**2 * V.positivity_floor  # N^(2(1 - gamma)) c
 
         def assemble(M):
             return lattice.assemble_HN(V, params, LatticeBox.centered(1, M))
 
         assert_bracket_encloses(
             assemble, semiclassics._box_start_halfwidth(V, params, 4), 4,
-            lambda M: floor if M + 1 > 256 * V.positivity_radius else -math.inf)
+            semiclassics._outside_floor(V, params))
 
     @pytest.mark.parametrize("gamma", [-1.5, -2.0])
     def test_encloses_the_sub_kink_chain_levels(self, gamma):
@@ -554,12 +572,27 @@ class TestTruncationBracket:
         ("converge --potential harmonic --gamma -0.9 --N 2,4,8 --nmax 3",
          cli.EXIT_ASSERTION),
     ])
-    def test_floor_above_the_levels_falls_back_to_doubling(self, tmp_path, monkeypatch,
-                                                           argv, code):
-        # at these small N the positivity floor N^(2(1 - gamma)) c lies below
-        # the tracked levels, so only the doubling test can accept a box
+    def test_floor_law_certifies_the_start_box(self, tmp_path, monkeypatch, argv, code):
+        # at these small N a constant floor N^(2(1 - gamma)) c lies below the
+        # tracked levels; the potential's growing law N^(2(1 - gamma)) floor((M
+        # + 1) / N) lies above them on the start box, which one solve certifies
+        results, solves = [], []
+        converged, solve = eigensolve.converged_spectrum, eigensolve.eigs_tridiag
+
+        def recording_converged(*args):
+            results.append(converged(*args))
+            return results[-1]
+
+        def counting_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(eigensolve, "converged_spectrum", recording_converged)
+        monkeypatch.setattr(eigensolve, "eigs_tridiag", counting_solve)
         monkeypatch.chdir(tmp_path)
         assert cli.main(argv.split()) == code
+        assert len(results) == len(solves) == 3
+        assert all(res.truncation_width is not None for res in results)
 
     def test_one_solve_per_converged_spectrum_call(self, tmp_path, monkeypatch):
         counts = {"converged": 0, "solves": 0}
