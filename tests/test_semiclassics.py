@@ -574,8 +574,8 @@ class TestTruncationBracket:
     ])
     def test_floor_law_certifies_the_start_box(self, tmp_path, monkeypatch, argv, code):
         # at these small N a constant floor N^(2(1 - gamma)) c lies below the
-        # tracked levels; the potential's growing law N^(2(1 - gamma)) floor((M
-        # + 1) / N) lies above them on the start box, which one solve certifies
+        # tracked levels, while the growing law, scaled the same way and read
+        # at (M + 1) / N, lies above them on the start box: one solve certifies
         results, solves = [], []
         converged, solve = eigensolve.converged_spectrum, eigensolve.eigs_tridiag
 
