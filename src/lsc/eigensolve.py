@@ -64,6 +64,7 @@ __all__ = [
 RESIDUAL_RTOL = 1e-8
 BOX_DOUBLING_RTOL = 1e-11
 MAX_DOUBLINGS = 14
+MAX_BOX_POINTS = 2**22  # converged_spectrum assembles no doubled box above this
 NODAL_ZERO_RTOL = 1e-9  # entries below this fraction of the sup norm count as zeros
 SYMMETRY_RTOL = 1e-8
 _STEBZ_TOL = 2 * np.finfo(float).tiny  # LAPACK's most accurate absolute tolerance
@@ -542,8 +543,9 @@ def converged_spectrum(
     j`` for every ``j < k``, that is ``cur_j - tol_j < neu_j``, and reports
     ``tol`` as ``truncation_width``.  The counts are skipped when ``cur_k -
     tol_k`` already reaches the floor, since both conditions cannot then hold.
-    Otherwise ``M`` doubles; after ``MAX_DOUBLINGS`` doublings it raises
-    :class:`BoxTooSmall`.
+    Otherwise ``M`` doubles; after ``MAX_DOUBLINGS`` doublings, or where the
+    doubled box would hold more than ``MAX_BOX_POINTS`` points, it raises
+    :class:`BoxTooSmall`.  The start box is always solved, however large.
     """
     M = int(M0)
     for doubling in range(MAX_DOUBLINGS + 1):
@@ -560,6 +562,12 @@ def converged_spectrum(
                     and all(_stebz(neu, off, upper=x) <= j
                             for j, x in enumerate(cur.values - tol))):
                 return dataclasses.replace(cur, truncation_width=tol)
+        if doubling < MAX_DOUBLINGS and 4 * M + 1 > MAX_BOX_POINTS:
+            raise BoxTooSmall(
+                f"truncation bracket still open at half-width {M} after {doubling} "
+                f"doublings; the doubled box would hold {4 * M + 1} points, above "
+                f"the cap of {MAX_BOX_POINTS}"
+            )
     raise BoxTooSmall(
         f"truncation bracket still open at half-width {M} "
         f"after {MAX_DOUBLINGS} doublings"

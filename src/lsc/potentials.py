@@ -11,8 +11,10 @@ Conventions
 -----------
 * ``V(a) = 0`` at every registered well and the Hessian there has
   eigenvalues ``omega_i**2 > 0`` (frequencies stored in ascending order).
-* Evaluators are vectorized: they accept an ``(m, d)`` array of points
-  and return an ``(m,)`` array of values.
+* Evaluators are vectorized and pointwise: they accept an ``(m, d)`` array
+  of points and return an ``(m,)`` array of values, each depending on its
+  own point alone, since grids are evaluated in blocks of points (at most
+  ``GRID_BLOCK_POINTS`` each) and the blocks' values are concatenated.
 * Potentials are immutable after construction; every operation here is
   pure and safe to call concurrently on shared instances.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +49,7 @@ __all__ = [
 WELL_ZERO_TOL = 1e-12
 UNREGISTERED_ZERO_TOL = 1e-8
 WELL_EXCLUSION_RADIUS = 0.1
+GRID_BLOCK_POINTS = 65_536  # points per block of a grid walk (one row when a row is longer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +85,9 @@ class Potential:
     """Evaluable potential plus well and positivity metadata.
 
     ``evaluator`` maps an ``(m, d)`` float array of points to ``(m,)``
-    values.  ``floor`` maps radii ``r > positivity_radius`` (vectorized) to
+    values, pointwise: a grid is evaluated block by block, so a value may
+    depend only on its own point.  ``floor`` maps radii ``r >
+    positivity_radius`` (vectorized and pointwise likewise) to
     nondecreasing lower bounds of ``V`` on ``|x| >= r``, the truncation
     floor of :func:`lsc.semiclassics.levels_HN`; it is supplied, never
     inferred.  ``axis_potentials`` carries the one-dimensional factors when
@@ -154,12 +159,39 @@ def eval_potential(V: Potential, x) -> float | np.ndarray:
     return float(vals[0]) if single else vals
 
 
+def _point_blocks(axes: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """The C-order grid of the 1-d float ``axes`` as ``(m, d)`` blocks of whole
+    leading-axis rows, at most ``GRID_BLOCK_POINTS`` points each; a row longer
+    than that is a block of its own."""
+    lead, d = axes[0], len(axes)
+    inner = [g.reshape(-1) for g in np.meshgrid(*axes[1:], indexing="ij")]
+    row = math.prod(a.size for a in axes[1:])
+    rows_per_block = max(1, GRID_BLOCK_POINTS // row)
+    for start in range(0, lead.size, rows_per_block):
+        rows = lead[start:start + rows_per_block]
+        block = np.empty((rows.size, row, d))
+        block[:, :, 0] = rows[:, None]
+        for ax, coords in enumerate(inner, 1):
+            block[:, :, ax] = coords
+        yield block.reshape(-1, d)
+
+
 def sample_on_lattice(V: Potential, N: int, box) -> np.ndarray:
-    """Sample ``x -> V(x / N)`` on every point of a lattice box (C order)."""
+    """Sample ``x -> V(x / N)`` on every point of a lattice box (C order).
+
+    The points are evaluated in blocks of at most ``GRID_BLOCK_POINTS``, so
+    beyond the returned array the memory is bounded by the block, not the box.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    pts = box.point_array().astype(float)
-    return np.asarray(V.evaluator(pts / float(N)), dtype=float).reshape(box.size)
+    out = np.empty(box.size)
+    start = 0
+    for pts in _point_blocks([np.arange(l, h + 1) / float(N)
+                              for l, h in zip(box.lo, box.hi)]):
+        out[start:start + pts.shape[0]] = np.asarray(
+            V.evaluator(pts), dtype=float).reshape(pts.shape[0])
+        start += pts.shape[0]
+    return out
 
 
 def _hessian_step(a: np.ndarray) -> np.ndarray:
@@ -255,16 +287,16 @@ def _row_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _scan_grid(d: int, radius: float, step: float) -> tuple[np.ndarray, float]:
+def _scan_axis(d: int, radius: float, step: float) -> tuple[np.ndarray, float]:
+    """One axis of the validation grid, ``[-radius, radius]`` at ``step``, and
+    the step used.  A ``d >= 2`` grid doubles its step until it holds at most
+    2e6 points, which bounds the scan's time; the walk in blocks bounds its
+    memory."""
     axis = np.arange(-radius, radius + 0.5 * step, step)
-    if d == 1:
-        return axis.reshape(-1, 1), step
-    # keep multi-dimensional scans below ~2e6 points by coarsening
-    while axis.size**d > 2_000_000:
+    while d > 1 and axis.size**d > 2_000_000:
         step *= 2.0
         axis = np.arange(-radius, radius + 0.5 * step, step)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, d), step
+    return axis, step
 
 
 def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> ValidationReport:
@@ -275,7 +307,11 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
     positivity law on the ring between ``R0`` and the scan radius: ``V(x) >=
     floor(|x|)`` (least slack ``floor_margin``), and ``floor`` nondecreasing
     in ``r`` at the ``scan_step`` the grid was scanned at.  Smoothness is not
-    numerically checkable and is reported as assumed.
+    numerically checkable and is reported as assumed.  The grid is walked in
+    blocks of at most ``GRID_BLOCK_POINTS`` points, so beyond one grid axis
+    the scan's memory is bounded by the block.  The report is the one a
+    whole-grid scan gives: the first least value (or the first NaN) and the
+    first 16 unregistered zeros in C order.
     """
     if not math.isfinite(scan_radius):
         raise ValueError(f"scan_radius must be finite, got scan_radius={scan_radius}")
@@ -284,11 +320,33 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
         raise ValueError("scan_radius must exceed max well coordinate + 1")
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid_step must be positive and finite, got grid_step={grid_step}")
-    pts, scan_step = _scan_grid(V.dimension, scan_radius, grid_step)
-    vals = eval_potential(V, pts)
+    axis, scan_step = _scan_axis(V.dimension, scan_radius, grid_step)
 
-    i_min = int(np.argmin(vals))
-    nonnegative = bool(vals[i_min] >= -WELL_ZERO_TOL)
+    locs = np.stack([w.location for w in V.wells]) if V.wells else np.zeros((0, V.dimension))
+    argmin: tuple[float, ...] | None = None
+    min_value = math.nan
+    unregistered: list[tuple[float, ...]] = []
+    margins: list[float] = []
+    for pts in _point_blocks([axis] * V.dimension):
+        vals = eval_potential(V, pts)
+
+        # np.argmin's choice over the whole grid: the first NaN, else the
+        # first least value
+        i = int(np.argmin(vals))
+        if argmin is None or not (math.isnan(min_value) or vals[i] >= min_value):
+            min_value, argmin = float(vals[i]), tuple(pts[i])
+
+        if len(unregistered) < 16:
+            cand = pts[vals < UNREGISTERED_ZERO_TOL]
+            if cand.size and locs.size:
+                dists = np.sqrt(((cand[:, None, :] - locs[None, :, :]) ** 2).sum(axis=2))
+                cand = cand[dists.min(axis=1) > WELL_EXCLUSION_RADIUS]
+            unregistered += [tuple(p) for p in cand[:16 - len(unregistered)]]
+
+        norms = np.sqrt(_row_sum(pts**2))
+        ring = (norms > V.positivity_radius) & (norms <= scan_radius)
+        if np.any(ring):
+            margins.append((vals[ring] - V.floor(norms[ring])).min())
 
     well_messages: list[str] = []
     wells_valid = True
@@ -307,22 +365,8 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
                 f"vs measured {freqs}"
             )
 
-    locs = np.stack([w.location for w in V.wells]) if V.wells else np.zeros((0, V.dimension))
-    near_zero = vals < UNREGISTERED_ZERO_TOL
-    unregistered: list[tuple[float, ...]] = []
-    if np.any(near_zero):
-        cand = pts[near_zero]
-        if locs.size:
-            dists = np.sqrt(((cand[:, None, :] - locs[None, :, :]) ** 2).sum(axis=2))
-            far = dists.min(axis=1) > WELL_EXCLUSION_RADIUS
-        else:
-            far = np.ones(cand.shape[0], dtype=bool)
-        unregistered = [tuple(p) for p in cand[far][:16]]
-
-    norms = np.sqrt(_row_sum(pts**2))
-    ring = (norms > V.positivity_radius) & (norms <= scan_radius)
-    if np.any(ring):
-        floor_margin = float((vals[ring] - V.floor(norms[ring])).min())
+    if margins:
+        floor_margin = float(np.min(margins))  # NaN if any block's is, as np.min
         radii = np.arange(scan_radius, V.positivity_radius, -scan_step)[::-1]
         law = np.broadcast_to(V.floor(radii), radii.shape)
         positive = bool(floor_margin >= 0.0 and (np.diff(law) >= 0.0).all())
@@ -331,9 +375,9 @@ def validate_assumptions(V: Potential, scan_radius: float, grid_step: float) -> 
         positive = False
 
     return ValidationReport(
-        nonnegative=nonnegative,
-        min_value=float(vals[i_min]),
-        argmin=tuple(pts[i_min]),
+        nonnegative=min_value >= -WELL_ZERO_TOL,
+        min_value=min_value,
+        argmin=argmin,
         wells_valid=wells_valid,
         well_messages=tuple(well_messages),
         unregistered_zeros=tuple(unregistered),

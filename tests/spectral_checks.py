@@ -1,5 +1,7 @@
 """Spectral assertions shared by the test modules (not collected as tests)."""
 
+import tracemalloc
+
 import numpy as np
 import scipy.linalg
 
@@ -22,6 +24,17 @@ def multiplicity_clusters(values) -> list[list[int]]:
         else:
             clusters.append([i])
     return clusters
+
+
+def traced_peak(fn) -> int:
+    """Peak of the memory Python allocates while ``fn()`` runs, in bytes, as
+    tracemalloc sees it; tracing stops however ``fn`` ends."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def record_dstebz_ranges(monkeypatch) -> list[int]:

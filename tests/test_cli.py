@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsc import cli, hermite
+from lsc import cli, eigensolve, hermite, lattice
 from lsc.lattice import LatticeBox, SymmetricLatticeOperator, assemble_HN, assemble_Hkappa
 from lsc.potentials import (
     Potential,
@@ -687,6 +687,32 @@ class TestExitCodes:
         assert code == cli.EXIT_SOLVER
         err = capsys.readouterr().err
         assert err == "solver failure: out of memory: dense assembly refused for size 9000\n"
+
+    def test_open_bracket_at_the_box_cap_is_solver_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        # a floor of 0 lies below every level, so the bracket never closes;
+        # with a cap of 1000 points the doubling stops at the 625-point box,
+        # whose double would hold 1249, and no CSV is written
+        monkeypatch.setattr(eigensolve, "MAX_BOX_POINTS", 1000)
+        register_potential("zero_floor", lambda: Potential(
+            dimension=1, evaluator=lambda pts: pts[:, 0] ** 2,
+            wells=(Well(location=np.zeros(1), frequencies=np.full(1, 2**0.5)),),
+            positivity_radius=2.0, floor=lambda r: 0.0 * r, name="zero_floor"))
+        sizes = []
+        assemble = lattice.assemble_HN
+
+        def logged(V, params, box):
+            sizes.append(box.size)
+            return assemble(V, params, box)
+
+        monkeypatch.setattr(lattice, "assemble_HN", logged)
+        code = run(["spectrum", "--potential", "zero_floor"], tmp_path, out="s.csv")
+        assert code == cli.EXIT_SOLVER
+        assert sizes == [79, 157, 313, 625]
+        assert capsys.readouterr().err == (
+            "solver failure: truncation bracket still open at half-width 312 after 3 "
+            "doublings; the doubled box would hold 1249 points, above the cap of 1000\n")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_arpack_failure_is_solver_error(self, tmp_path, monkeypatch, capsys):
         import scipy.sparse.linalg

@@ -868,6 +868,25 @@ class TestTruncationBracket:
             converged_spectrum(assemble, M0, 3, lambda M: top)
         assert ranges == [2, 1] * 3
 
+    @pytest.mark.parametrize("M0, boxes", [(4, [4, 8, 16, 32]), (100, [100])])
+    def test_open_bracket_stops_below_the_box_cap(self, monkeypatch, M0, boxes):
+        # the free Laplacian never certifies; with a cap of 100 points the
+        # doubling stops where the next box (4 M + 1 points) would pass it,
+        # and a start box above the cap is still solved once
+        monkeypatch.setattr(eigensolve, "MAX_BOX_POINTS", 100)
+        seen = []
+
+        def assemble(M):
+            seen.append(M)
+            return assemble_laplacian(LatticeBox.centered(1, M))
+
+        M = boxes[-1]
+        with pytest.raises(BoxTooSmall, match=(
+                f"half-width {M} after {len(boxes) - 1} doublings; the doubled box "
+                f"would hold {4 * M + 1} points, above the cap of 100")):
+            converged_spectrum(assemble, M0, 1, lambda M: 0.0)
+        assert seen == boxes
+
     def test_stebz_reports_missing_values(self, monkeypatch):
         def short(diag, off, *args):
             return 1, np.zeros(diag.size), None, None, 0

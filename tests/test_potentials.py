@@ -21,6 +21,7 @@ from lsc.potentials import (
     two_well,
     validate_assumptions,
 )
+from spectral_checks import traced_peak
 
 
 def quartic_no_well():
@@ -271,6 +272,183 @@ class TestValidation:
     def test_scan_radius_must_be_finite(self, radius):
         with pytest.raises(ValueError, match="scan_radius must be finite"):
             validate_assumptions(double_well(), radius, 0.01)
+
+
+def whole_box_sample(V, N, box):
+    """``sample_on_lattice`` as one evaluation of the whole point array."""
+    pts = box.point_array().astype(float)
+    return np.asarray(V.evaluator(pts / float(N)), dtype=float).reshape(box.size)
+
+
+def whole_grid_scan(V, scan_radius, grid_step):
+    """The grid-dependent fields of ``validate_assumptions`` from one evaluation
+    of the whole scan grid, and the number of unregistered near-zeros before
+    the cap of 16."""
+    d, step = V.dimension, grid_step
+    axis = np.arange(-scan_radius, scan_radius + 0.5 * step, step)
+    while d > 1 and axis.size**d > 2_000_000:
+        step *= 2.0
+        axis = np.arange(-scan_radius, scan_radius + 0.5 * step, step)
+    pts = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    vals = np.asarray(V.evaluator(pts), dtype=float)
+    i_min = int(np.argmin(vals))
+    cand = pts[vals < potentials.UNREGISTERED_ZERO_TOL]
+    if V.wells and cand.size:
+        locs = np.stack([w.location for w in V.wells])
+        dists = np.sqrt(((cand[:, None, :] - locs[None, :, :]) ** 2).sum(axis=2))
+        cand = cand[dists.min(axis=1) > potentials.WELL_EXCLUSION_RADIUS]
+    norms = np.sqrt((pts**2).sum(axis=-1))
+    ring = (norms > V.positivity_radius) & (norms <= scan_radius)
+    margin = float((vals[ring] - V.floor(norms[ring])).min()) if ring.any() else math.nan
+    radii = np.arange(scan_radius, V.positivity_radius, -step)[::-1]
+    law = np.broadcast_to(V.floor(radii), radii.shape)
+    fields = {
+        "nonnegative": bool(vals[i_min] >= -potentials.WELL_ZERO_TOL),
+        "min_value": float(vals[i_min]),
+        "argmin": tuple(pts[i_min]),
+        "unregistered_zeros": tuple(tuple(p) for p in cand[:16]),
+        "positive_at_infinity": bool(margin >= 0.0 and (np.diff(law) >= 0.0).all()),
+        "floor_margin": margin,
+        "scan_step": step,
+    }
+    return fields, len(cand)
+
+
+def assert_matches_whole_scan(V, scan_radius, grid_step):
+    """Every grid-dependent report field equals the whole-grid scan's (NaN
+    equal to NaN, zeros by sign); returns the report and the near-zero count."""
+    report = validate_assumptions(V, scan_radius, grid_step)
+    want, near_zeros = whole_grid_scan(V, scan_radius, grid_step)
+    for field, value in want.items():
+        np.testing.assert_equal(getattr(report, field), value, err_msg=field)
+    return report, near_zeros
+
+
+def leading_block(x, scan_radius, step, row):
+    """Index of the block holding the grid row at leading coordinate ``x``."""
+    return round((x + scan_radius) / step) // (potentials.GRID_BLOCK_POINTS // row)
+
+
+BUILTINS = [harmonic([1.3]), harmonic([0.7, 1.9]), harmonic([0.5, 1.0, 2.0]),
+            double_well(), double_well_nd(2), double_well_nd(3),
+            two_well(), two_well(omega=1.5, d=2), two_well(separation=3.0, d=3)]
+
+
+class TestPointBlocks:
+    @pytest.mark.parametrize("lo, hi", [
+        ((-70_000,), (70_000,)),  # three blocks, the last one short
+        ((-150, -120), (150, 120)),  # 271 rows of 241 points, then 30 rows
+        ((-2, -40_000), (2, 40_000)),  # a row of 80,001 points is a block alone
+        ((-40, -30, -20), (41, 30, 20)),  # 26 rows of 2,501 points, three times, then 4
+    ])
+    def test_whole_rows_in_c_order(self, lo, hi):
+        box = LatticeBox(lo=lo, hi=hi)
+        axes = [np.arange(l, h + 1, dtype=float) for l, h in zip(lo, hi)]
+        row = box.size // box.shape[0]
+        per_block = row * max(1, potentials.GRID_BLOCK_POINTS // row)
+        assert per_block <= max(row, potentials.GRID_BLOCK_POINTS)
+        full, rest = divmod(box.size, per_block)
+        blocks = list(potentials._point_blocks(axes))
+        assert [b.shape[0] for b in blocks] == [per_block] * full + [rest] * (rest > 0)
+        assert len(blocks) > 1
+        np.testing.assert_array_equal(np.concatenate(blocks), box.point_array())
+
+
+class TestBlockedSampling:
+    @pytest.mark.parametrize("V, N, lo, hi", [
+        (double_well(), 64, (-70_000,), (70_000,)),
+        (harmonic([1.3]), 5, (-3,), (90_000,)),
+        (double_well_nd(2), 32, (-150, -120), (150, 120)),
+        (two_well(omega=1.5, d=2), 7, (-2, -40_000), (2, 40_000)),
+        (harmonic([0.7, 1.9]), 16, (-300, -200), (310, 200)),
+        (double_well_nd(3), 16, (-40, -30, -20), (41, 30, 20)),
+        (two_well(separation=3.0, d=3), 9, (-40, -30, -20), (41, 30, 20)),
+        (harmonic([0.5, 1.0, 2.0]), 11, (-30, -30, -30), (30, 30, 30)),
+    ], ids=lambda v: getattr(v, "name", None))
+    def test_bitwise_the_whole_box_values(self, V, N, lo, hi):
+        box = LatticeBox(lo=lo, hi=hi)
+        assert box.size > potentials.GRID_BLOCK_POINTS
+        got = sample_on_lattice(V, N, box)
+        want = whole_box_sample(V, N, box)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_memory_is_bounded_by_the_block(self):
+        # the 537,289 sampled values take 4.3 MB; evaluating the whole point
+        # array at once peaks at 30 MB
+        V, box = double_well_nd(2), LatticeBox.centered(2, 366)
+        assert traced_peak(lambda: sample_on_lattice(V, 64, box)) <= 12e6
+
+
+class TestBlockedValidation:
+    @pytest.mark.parametrize("V", BUILTINS, ids=lambda V: f"{V.name}-{V.dimension}d")
+    def test_builtins_match_the_whole_grid(self, V):
+        radius = V.positivity_radius + 3.0
+        step = {1: 0.0001, 2: 0.02, 3: 0.2}[V.dimension]
+        report, _ = assert_matches_whole_scan(V, radius, step)
+        assert report.passed
+
+    def test_unregistered_zeros_cap_crosses_a_block_edge(self):
+        # V vanishes on |y| < 0.05 along the lines x = 2.5 k: 5 grid points on
+        # each of the rows x = -5 and -2.5 (block 0), 0 (block 1), 2.5 (block
+        # 2) and 5 (block 3).  Those at x = 0 lie next to the registered (and
+        # degenerate) well at the origin; of the 20 others the cap keeps the
+        # first 16, which end one point into block 3
+        def evaluator(pts):
+            return (np.sin(np.pi * pts[:, 0] / 2.5) ** 2
+                    + np.maximum(np.abs(pts[:, 1]) - 0.05, 0.0) ** 2)
+
+        V = Potential(dimension=2, evaluator=evaluator,
+                      wells=(Well(location=np.zeros(2), frequencies=np.ones(2)),),
+                      positivity_radius=4.0, floor=lambda r: 0.0 * r, name="striped")
+        radius, step = 5.0, 0.02
+        report, near_zeros = assert_matches_whole_scan(V, radius, step)
+        assert near_zeros == 20 and len(report.unregistered_zeros) == 16
+        row = round(2 * radius / step) + 1
+        blocks = [leading_block(p[0], radius, step, row) for p in report.unregistered_zeros]
+        assert blocks == [0] * 10 + [2] * 5 + [3] and not report.wells_valid
+
+    def test_negative_in_a_later_block(self):
+        # V is exactly -0.01 on a disc about (2.5, 0) whose rows lie in blocks
+        # 2 and 3, and positive off it: the first of the tied least values,
+        # in block 2, is the one np.argmin picks
+        def evaluator(pts):
+            return np.maximum((pts[:, 0] - 2.5) ** 2 + pts[:, 1] ** 2 - 1.0, -0.01)
+
+        V = Potential(dimension=2, evaluator=evaluator, wells=(), positivity_radius=4.0,
+                      floor=lambda r: 0.0 * r, name="dipped_late")
+        radius, step = 5.0, 0.02
+        report, _ = assert_matches_whole_scan(V, radius, step)
+        assert not report.nonnegative and report.min_value == -0.01
+        row = round(2 * radius / step) + 1
+        assert leading_block(report.argmin[0], radius, step, row) == 2
+        assert leading_block(3.4, radius, step, row) == 3
+
+    def test_nan_values_as_the_whole_grid_gives_them(self):
+        # V is the double well but NaN on x > 2, |y| < 0.5: its finite minimum
+        # lies in block 1, its first NaN in block 2, and NaN reaches the ring
+        base = double_well_nd(2)
+
+        def evaluator(pts):
+            vals = base.evaluator(pts)
+            vals[(pts[:, 0] > 2.0) & (np.abs(pts[:, 1]) < 0.5)] = np.nan
+            return vals
+
+        V = Potential(dimension=2, evaluator=evaluator, wells=base.wells,
+                      positivity_radius=base.positivity_radius, floor=base.floor,
+                      name="holed")
+        radius, step = base.positivity_radius + 3.0, 0.02
+        report, _ = assert_matches_whole_scan(V, radius, step)
+        assert math.isnan(report.min_value) and math.isnan(report.floor_margin)
+        assert not report.nonnegative and not report.positive_at_infinity
+        assert report.argmin[0] > 2.0
+
+    @pytest.mark.parametrize("V, radius, bound", [
+        # 532,900 and 1,061,208 points; a whole-grid scan peaks at 28 and 77 MB
+        (double_well_nd(2), 2.0 * 2**0.5 + 3.0, 8e6),
+        (double_well_nd(3), 2.0 * 3**0.5 + 3.0, 10e6),
+    ], ids=["2d", "3d"])
+    def test_memory_is_bounded_by_the_block(self, V, radius, bound):
+        assert traced_peak(lambda: validate_assumptions(V, radius, 0.004)) <= bound
 
 
 class TestRowSum:

@@ -3,7 +3,6 @@
 import dataclasses
 import heapq
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from lsc.semiclassics import (
     regime_sweep,
     sigma_enumerate,
 )
-from spectral_checks import assert_bracket_encloses, record_dstebz_ranges
+from spectral_checks import assert_bracket_encloses, record_dstebz_ranges, traced_peak
 
 
 def sigma_brute_force(V, count):
@@ -209,13 +208,7 @@ class TestSigmaAgainstHeap:
     def test_six_dimensions_without_a_bounding_box(self):
         # the first 5000 states have m_i <= 9: their bounding box holds 10^6
         # points, over 50 MB for levels plus indices; the simplex needs ~3 MB
-        tracemalloc.start()
-        try:
-            sigma_enumerate(harmonic([1.0] * 6), 5000)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
+        assert traced_peak(lambda: sigma_enumerate(harmonic([1.0] * 6), 5000)) < 32e6
         self.assert_same(harmonic([1.0] * 6), 5000)
 
 
