@@ -6,15 +6,16 @@ Low-lying eigenvalues of symmetric tridiagonal matrices come from LAPACK
 absolute tolerance ``2 * tiny``, LAPACK's most accurate setting.  On
 ``H_kappa`` the lowest levels then agree with an extended-precision Sturm
 count to about 2e-14 relative at ``kappa = 0.05`` and 1.5e-11 at
-``kappa = 4096^(-3/4)``, where ``E / |H|`` is about 1e-6.  The truncation
-of a 1-d operator on ``Z`` to a box is certified by a Dirichlet-Neumann
-bracket, the box doubling until the bracket closes.  Lattice
+``kappa = 4096^(-3/4)``, where ``E / |H|`` is about 1e-6.  Lattice
 operators in ``d >= 2`` are solved by shift-invert Lanczos (ARPACK) and
 their eigenvalue index is certified by a block Sylvester-inertia count, the
 d-dimensional analogue of the Sturm count: a block LDL^T along axis 0 whose
 pivot blocks are factored by LAPACK ``dsytrf``, the symmetric-indefinite
 factorization of Bunch and Kaufman (Math. Comp. 31 (1977) 163), whose 1x1
-and 2x2 diagonal blocks carry each pivot's inertia.  Dense solves
+and 2x2 diagonal blocks carry each pivot's inertia.  In every dimension
+the truncation of an operator on ``Z^d`` to a box is certified by a
+Dirichlet-Neumann bracket whose Neumann side is one of these counts, the
+box doubling until the bracket closes.  Dense solves
 (``numpy.linalg.eigvalsh``) are used only as independent oracles in tests.
 
 Operators are passed either as a ``(diagonal, offdiagonal)`` pair or as any
@@ -89,10 +90,11 @@ class SpectrumResult:
     """Sorted low-lying eigenvalues with optional vectors and metadata.
 
     ``truncation_width`` is set on every :func:`converged_spectrum` result,
-    where a Dirichlet-Neumann bracket certified the box truncation: per
-    level, how far the Dirichlet value may lie above the level on the whole
-    lattice, which is the acceptance tolerance ``BOX_DOUBLING_RTOL * (1 +
-    |E|)``.  Single-box solves leave it ``None``.
+    in any dimension, where a Dirichlet-Neumann bracket certified the box
+    truncation: per level, how far the Dirichlet value may lie above the
+    level on the whole lattice, which is the acceptance tolerance
+    ``BOX_DOUBLING_RTOL * (1 + |E|)``.  A solve on a given box
+    (:func:`eigs_tridiag`, :func:`eigs_sparse`) leaves it ``None``.
     """
 
     values: np.ndarray
@@ -262,10 +264,11 @@ def count_below(op, theta: float) -> int:
     m = hop.shape[0]
     lwork = int(scipy.linalg.lapack.dsytrf_lwork(m, lower=1)[0])
     schur = np.zeros_like(hop)  # c^2 D_{r-1}^{-1}, lower triangle
+    at = np.diag_indices(m)
     count = 0
     for r in range(n0):
         D = hop - schur
-        D[np.diag_indices_from(D)] += diag[r]
+        D[at] += diag[r]
         scale = np.abs(D).max()  # NaN or inf when an entry is
         if not np.isfinite(scale):
             raise ConvergenceFailure(f"non-finite block pivot {r} in the inertia count")
@@ -518,33 +521,48 @@ def subspace_upper_bounds(op, test_vectors: Sequence[np.ndarray]) -> np.ndarray:
     return scipy.linalg.eigh(A, B, eigvals_only=True)
 
 
+def _neumann_counts(op) -> Callable[[float], int]:
+    """``nu(x)``, the number of eigenvalues ``<= x`` of the Neumann operator
+    of ``op`` (its diagonal less ``coupling`` per cut bond): a ``dstebz``
+    Sturm count in 1-d, :func:`count_below` just above ``x`` in ``d >= 2``."""
+    neu = op.diagonal - op.coupling * op.dropped_neighbor_count()
+    if op.box.dimension == 1:
+        off = op.tridiagonal()[1]
+        return lambda x: _stebz(neu, off, upper=x)
+    neu_op = dataclasses.replace(op, diagonal=neu)
+    return lambda x: count_below(neu_op, np.nextafter(x, np.inf))
+
+
 def converged_spectrum(
     assemble: Callable[[int], object],
     M0: int,
     k: int,
     outside_floor: Callable[[int], float],
 ) -> SpectrumResult:
-    """Lowest ``k`` levels of a 1-d lattice operator on ``Z``, certified on a
-    truncated box by a Dirichlet-Neumann bracket.
+    """Lowest ``k`` levels of a lattice operator on ``Z^d``, certified on a
+    truncated box by a Dirichlet-Neumann bracket, in any dimension ``d``.
 
     ``assemble(M)`` builds the Dirichlet operator on the half-width ``M``
     box; ``outside_floor(M)`` is a lower bound of its potential part
-    ``W = diagonal - 2 * coupling`` at every lattice point outside that box.
+    ``W = diagonal - 2 d coupling`` at every lattice point outside that box.
     For ``M = M0, 2 M0, ...`` one pass solves the Dirichlet operator for
-    ``cur`` and sets ``tol = BOX_DOUBLING_RTOL * (1 + |cur|)``.  Cutting the
-    boundary bonds lowers the form, so ``H_Z >= H_box^Neu (+) H_out^Neu`` with
-    ``H_box^Neu`` the Dirichlet operator less ``coupling`` per cut bond on its
-    diagonal and ``H_out^Neu >= outside_floor(M)``; with Dirichlet
+    ``cur`` (:func:`eigs_tridiag` when ``d = 1``, :func:`eigs_sparse` when
+    ``d >= 2``) and sets ``tol = BOX_DOUBLING_RTOL * (1 + |cur|)``.  Cutting
+    the boundary bonds lowers the form, so ``H_Z >= H_box^Neu (+) H_out^Neu``
+    with ``H_box^Neu`` the Dirichlet operator less ``coupling`` per cut bond
+    on its diagonal and ``H_out^Neu >= outside_floor(M)``; with Dirichlet
     monotonicity, ``neu_j <= E_j(H_Z) <= cur_j`` whenever ``neu_k`` lies below
-    the floor.  The bracket needs no Neumann eigenvalue, only Sturm counts
-    ``nu(x)``, the number of Neumann levels ``<= x`` (Barth, Martin and
-    Wilkinson, Numer. Math. 9 (1967) 386): the pass accepts ``cur`` when
-    ``nu`` just below the floor is at least ``k`` and ``nu(cur_j - tol_j) <=
-    j`` for every ``j < k``, that is ``cur_j - tol_j < neu_j``, and reports
-    ``tol`` as ``truncation_width``.  The counts are skipped when ``cur_k -
-    tol_k`` already reaches the floor, since both conditions cannot then hold.
-    Otherwise ``M`` doubles; after ``MAX_DOUBLINGS`` doublings, or where the
-    doubled box would hold more than ``MAX_BOX_POINTS`` points, it raises
+    the floor (Reed and Simon IV, XIII.15).  The bracket needs no Neumann
+    eigenvalue, only counts ``nu(x)``, the number of Neumann levels ``<= x``:
+    a Sturm count in 1-d (Barth, Martin and Wilkinson, Numer. Math. 9 (1967)
+    386) and the inertia count :func:`count_below` in ``d >= 2``.  The pass
+    accepts ``cur`` when ``nu`` just below the floor is at least ``k`` and
+    ``nu(cur_j - tol_j) <= j`` for every ``j < k``, that is ``cur_j - tol_j <
+    neu_j``, and reports ``tol`` as ``truncation_width``.  The counts are
+    skipped when ``cur_k - tol_k`` already reaches the floor, since both
+    conditions cannot then hold.  Otherwise ``M`` doubles; after
+    ``MAX_DOUBLINGS`` doublings, or where the doubled box would hold more
+    than ``MAX_BOX_POINTS`` points (``(4 M + 1)^d``), it raises
     :class:`BoxTooSmall`.  The start box is always solved, however large.
     """
     M = int(M0)
@@ -552,20 +570,20 @@ def converged_spectrum(
         if doubling:
             M *= 2
         op = assemble(M)
-        cur = eigs_tridiag(op, k)
+        d = op.box.dimension
+        cur = (eigs_tridiag if d == 1 else eigs_sparse)(op, k)
         tol = BOX_DOUBLING_RTOL * (1.0 + np.abs(cur.values))
         floor = outside_floor(M)
         if cur.values[-1] - tol[-1] < floor:
-            neu = op.diagonal - op.coupling * op.dropped_neighbor_count()
-            _, off = op.tridiagonal()
-            if (_stebz(neu, off, upper=np.nextafter(floor, -np.inf)) >= k
-                    and all(_stebz(neu, off, upper=x) <= j
-                            for j, x in enumerate(cur.values - tol))):
+            nu = _neumann_counts(op)
+            if (nu(np.nextafter(floor, -np.inf)) >= k
+                    and all(nu(x) <= j for j, x in enumerate(cur.values - tol))):
                 return dataclasses.replace(cur, truncation_width=tol)
-        if doubling < MAX_DOUBLINGS and 4 * M + 1 > MAX_BOX_POINTS:
+        doubled = (4 * M + 1) ** d
+        if doubling < MAX_DOUBLINGS and doubled > MAX_BOX_POINTS:
             raise BoxTooSmall(
                 f"truncation bracket still open at half-width {M} after {doubling} "
-                f"doublings; the doubled box would hold {4 * M + 1} points, above "
+                f"doublings; the doubled box would hold {doubled} points, above "
                 f"the cap of {MAX_BOX_POINTS}"
             )
     raise BoxTooSmall(

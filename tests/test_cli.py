@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -25,6 +26,7 @@ from lsc.potentials import (
     double_well_nd,
     harmonic,
     register_potential,
+    two_well,
 )
 
 
@@ -712,6 +714,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "solver failure: truncation bracket still open at half-width 312 after 3 "
             "doublings; the doubled box would hold 1249 points, above the cap of 1000\n")
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_open_bracket_at_the_2d_box_cap_is_out_of_memory(self, tmp_path, capsys):
+        # a floor of 0 cannot certify two_well(d=2): at N = 2 and k = 6 the
+        # 39^2-point start box doubles, and the 77^2-point box is refused by
+        # the 4096-point non-separable cap, so no uncertified CSV is written
+        register_potential("zero_floor_2d", lambda: dataclasses.replace(
+            two_well(d=2), floor=lambda r: 0.0 * r, name="zero_floor_2d"))
+        code = run(["spectrum", "--potential", "zero_floor_2d", "--N", "2"], tmp_path,
+                   out="s.csv")
+        assert code == cli.EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "solver failure: out of memory: non-separable dense fallback capped at "
+            "4096 points; requested 5929\n")
         assert not (tmp_path / "s.csv").exists()
 
     def test_arpack_failure_is_solver_error(self, tmp_path, monkeypatch, capsys):

@@ -821,6 +821,16 @@ class TestTruncationBracket:
         assert res.box == LatticeBox.centered(1, M0) and res.truncation_width is not None
         assert ranges == [2] + [1] * (k + 1)
 
+    @staticmethod
+    def edge_wells(d, M):
+        """Potential 100 outside the sup-norm ball of radius 20, 0 on
+        17..20, a barrier of 10 on 5..17 and 0.5 inside, on the half-width
+        ``M`` box with coupling 1."""
+        box = LatticeBox.centered(d, M)
+        x = np.abs(box.point_array()).max(axis=1)
+        V = np.select([x > 20, x >= 17, x >= 5], [100.0, 0.0, 10.0], 0.5)
+        return SymmetricLatticeOperator(box=box, diagonal=2.0 * d + V, coupling=1.0)
+
     def test_neumann_level_below_the_tolerance_doubles(self):
         # wells at both box edges hold the two lowest levels, a barrier of
         # height 10 parts them from a centre well holding the third, and the
@@ -832,10 +842,7 @@ class TestTruncationBracket:
 
         def assemble(M):
             boxes.append(M)
-            box = LatticeBox.centered(1, M)
-            x = np.abs(box.coords())
-            V = np.select([x > 20, x >= 17, x >= 5], [100.0, 0.0, 10.0], 0.5)
-            return SymmetricLatticeOperator(box=box, diagonal=2.0 + V, coupling=1.0)
+            return self.edge_wells(1, M)
 
         op = assemble(20)
         cur = eigs_tridiag(op, 3).values
@@ -848,6 +855,23 @@ class TestTruncationBracket:
         assert boxes == [20, 40] and res.box == LatticeBox.centered(1, 40)
         np.testing.assert_array_equal(
             res.truncation_width, eigensolve.BOX_DOUBLING_RTOL * (1.0 + np.abs(res.values)))
+
+    def test_2d_edge_levels_double_once(self):
+        # in 2-d the edge well is a square ring that holds all three tracked
+        # levels; the inertia counts of the Neumann operator refuse the start
+        # box and certify the doubled one
+        boxes = []
+
+        def assemble(M):
+            boxes.append(M)
+            return self.edge_wells(2, M)
+
+        res = converged_spectrum(assemble, 20, 3, lambda M: 100.0)
+        assert boxes == [20, 40] and res.box == LatticeBox.centered(2, 40)
+        np.testing.assert_array_equal(
+            res.truncation_width, eigensolve.BOX_DOUBLING_RTOL * (1.0 + np.abs(res.values)))
+        np.testing.assert_array_equal(res.values,
+                                      eigs_sparse(self.edge_wells(2, 40), 3).values)
 
     def test_neumann_level_at_the_floor_is_not_certified(self, monkeypatch):
         # a floor at the top level passes the width test but not the index
@@ -886,6 +910,21 @@ class TestTruncationBracket:
                 f"would hold {4 * M + 1} points, above the cap of 100")):
             converged_spectrum(assemble, M0, 1, lambda M: 0.0)
         assert seen == boxes
+
+    def test_open_bracket_stops_below_the_2d_box_cap(self, monkeypatch):
+        # the cap counts the doubled box in its own dimension, (4 M + 1)^2
+        monkeypatch.setattr(eigensolve, "MAX_BOX_POINTS", 100)
+        seen = []
+
+        def assemble(M):
+            seen.append(M)
+            return assemble_laplacian(LatticeBox.centered(2, M))
+
+        with pytest.raises(BoxTooSmall, match=(
+                "half-width 4 after 1 doublings; the doubled box would hold 289 "
+                "points, above the cap of 100")):
+            converged_spectrum(assemble, 2, 1, lambda M: 0.0)
+        assert seen == [2, 4]
 
     def test_stebz_reports_missing_values(self, monkeypatch):
         def short(diag, off, *args):

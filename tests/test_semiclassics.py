@@ -443,7 +443,7 @@ class TestSandwich:
             assert lower <= exact[n] <= thetas[n] + 1e-12
 
 
-class TestDenseFallback:
+class TestNonseparableLevels:
     def test_nonseparable_2d_small_box(self):
         V = two_well(omega=1.0, separation=2.0, d=2)
         assert not V.separable
@@ -456,10 +456,31 @@ class TestDenseFallback:
         assert abs(ratios[1] - 1.0) < 0.35
 
     def test_dense_box_cap(self):
+        # the benchmark's DENSE_CAP known failure matches this message's start
         V = two_well(omega=1.0, separation=2.0, d=2)
         params = ScalingParams(N=64, gamma=0.0, omega=1.0)
-        with pytest.raises(MemoryError):
+        with pytest.raises(MemoryError,
+                           match="^non-separable dense fallback capped at 4096 points"):
             semiclassics.levels_HN(V, params, 2)
+
+    def test_floor_too_low_to_certify_doubles_into_the_cap(self, monkeypatch):
+        # a floor of 0 lies below every level, so the start box (37^2 points)
+        # is not certified and the doubled one (73^2) is refused by the cap
+        # instead of returning uncertified start-box values
+        V = dataclasses.replace(two_well(omega=1.0, separation=2.0, d=2),
+                                floor=lambda r: 0.0 * r)
+        solves = []
+        solve = eigensolve.eigs_sparse
+
+        def counting_solve(op, k):
+            solves.append(op.size)
+            return solve(op, k)
+
+        monkeypatch.setattr(eigensolve, "eigs_sparse", counting_solve)
+        with pytest.raises(MemoryError, match=(
+                "^non-separable dense fallback capped at 4096 points; requested 5329$")):
+            semiclassics.levels_HN(V, ScalingParams(N=2, gamma=0.0, omega=1.0), 4)
+        assert solves == [1369]
 
 
 class TestModifiedComparison:
@@ -548,6 +569,17 @@ class TestTruncationBracket:
             assemble, semiclassics._box_start_halfwidth(V, params, 4), 4,
             semiclassics._outside_floor(V, params))
 
+    def test_encloses_the_two_well_2d_levels(self):
+        V = two_well(omega=1.0, separation=2.0, d=2)
+        params = ScalingParams(N=2, gamma=0.0, omega=1.0)
+
+        def assemble(M):
+            return lattice.assemble_HN(V, params, LatticeBox.centered(2, M))
+
+        assert_bracket_encloses(
+            assemble, semiclassics._box_start_halfwidth(V, params, 4), 4,
+            semiclassics._outside_floor(V, params))
+
     @pytest.mark.parametrize("gamma", [-1.5, -2.0])
     def test_encloses_the_sub_kink_chain_levels(self, gamma):
         # the prescaled chain H_N / N^(2|gamma|) at N = 8, as in regime_sweep
@@ -588,22 +620,38 @@ class TestTruncationBracket:
         assert all(res.truncation_width is not None for res in results)
 
     def test_one_solve_per_converged_spectrum_call(self, tmp_path, monkeypatch):
-        counts = {"converged": 0, "solves": 0}
-        converged, solve = eigensolve.converged_spectrum, eigensolve.eigs_tridiag
+        results, solves = [], {"eigs_tridiag": 0, "eigs_sparse": 0}
+        converged = eigensolve.converged_spectrum
 
-        def counting_converged(*args):
-            counts["converged"] += 1
-            return converged(*args)
+        def recording_converged(*args):
+            results.append(converged(*args))
+            return results[-1]
 
-        def counting_solve(*args):
-            counts["solves"] += 1
-            return solve(*args)
+        def counting(name):
+            solve = getattr(eigensolve, name)
 
-        monkeypatch.setattr(eigensolve, "converged_spectrum", counting_converged)
-        monkeypatch.setattr(eigensolve, "eigs_tridiag", counting_solve)
+            def counting_solve(*args):
+                solves[name] += 1
+                return solve(*args)
+
+            return counting_solve
+
+        monkeypatch.setattr(eigensolve, "converged_spectrum", recording_converged)
+        for name in solves:
+            monkeypatch.setattr(eigensolve, name, counting(name))
         ranges = record_dstebz_ranges(monkeypatch)
         monkeypatch.chdir(tmp_path)
         assert cli.main("kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5".split()) == cli.EXIT_OK
-        assert counts == {"converged": 4, "solves": 4}
+        assert len(results) == 4 and solves == {"eigs_tridiag": 4, "eigs_sparse": 0}
         # one index solve (RANGE='I') per box; the Neumann side is 6 + 1 counts
         assert (ranges.count(2), ranges.count(1)) == (4, 4 * 7)
+        # a non-separable 2-d potential: one sparse solve per level set, each
+        # certified on its start box
+        V = two_well(omega=1.0, separation=2.0, d=2)
+        for N in (2, 4):
+            params = ScalingParams(N=N, gamma=0.0, omega=1.0)
+            semiclassics.levels_HN(V, params, 4)
+            M0 = semiclassics._box_start_halfwidth(V, params, 4)
+            assert results[-1].box == LatticeBox.centered(2, M0)
+        assert len(results) == 6 and solves == {"eigs_tridiag": 4, "eigs_sparse": 2}
+        assert all(res.truncation_width is not None for res in results)
