@@ -56,6 +56,7 @@ def _fmt(value) -> str:
 _NUMBER_FORMATS = {float: "{:.17g}".format, int: str}
 _CSV_SPECIALS = (",", '"', "\r", "\n")
 _CSV_CHUNK_LINES = 4096  # lines joined per write, which bounds the text held at once
+_DUMP_BLOCK_ROWS = 16_384  # diagonal entries or neighbor pairs per dump write, likewise
 
 
 def _fmt_column(column: list, lone: bool):
@@ -286,24 +287,31 @@ def dump_matrix(path: str, op) -> None:
     ``n n value`` line per diagonal entry, then ``i j c`` and ``j i c`` for each
     neighbor pair ``i < j``, every float as ``format(v, ".17g")`` writes it.
 
-    The diagonal lines are laid out as NUL-padded byte rows (``_int_field``,
+    Lines are laid out and written ``_DUMP_BLOCK_ROWS`` diagonal entries or
+    neighbor pairs at a time, so the text held at once stays bounded.  The
+    diagonal lines are laid out as NUL-padded byte rows (``_int_field``,
     ``_float_field``; no field holds a NUL) and the padding is dropped in one
-    pass.  The coupling lines need no such pass: each run of consecutive pairs
-    whose two indices have the same digit counts is one fixed-width block of
-    right-aligned digits cut to that width."""
+    pass per block.  The coupling lines need no such pass: each run of
+    consecutive pairs in a block whose two indices have the same digit counts
+    is one fixed-width array of right-aligned digits cut to that width."""
     digits = _int_field(np.arange(op.size))
-    space, newline = _text_field(b" ", op.size), _text_field(b"\n", op.size)
     i, j = op.box.neighbor_index_pairs()
-    wi, wj = (np.searchsorted(_POW10[1:], k, side="right") + 1 for k in (i, j))
     entry = f" {_fmt(-float(op.coupling))}\n".encode()
     with open(path, "wb") as fh:
-        fh.write(np.hstack([digits, space, digits, space, _float_field(op.diagonal),
-                            newline]).tobytes().replace(b"\0", b""))
-        for a, b in _runs(wi * 32 + wj):  # digit counts of int64 indices stay below 32
-            di, dj = digits[i[a:b], -wi[a]:], digits[j[a:b], -wj[a]:]
-            pair_space, pair_entry = _text_field(b" ", b - a), _text_field(entry, b - a)
-            fh.write(np.hstack([di, pair_space, dj, pair_entry,
-                                dj, pair_space, di, pair_entry]).tobytes())
+        for a in range(0, op.size, _DUMP_BLOCK_ROWS):
+            rows = digits[a:a + _DUMP_BLOCK_ROWS]
+            space, newline = _text_field(b" ", len(rows)), _text_field(b"\n", len(rows))
+            fh.write(np.hstack([rows, space, rows, space,
+                                _float_field(op.diagonal[a:a + _DUMP_BLOCK_ROWS]), newline]
+                               ).tobytes().replace(b"\0", b""))
+        for a in range(0, i.size, _DUMP_BLOCK_ROWS):
+            bi, bj = i[a:a + _DUMP_BLOCK_ROWS], j[a:a + _DUMP_BLOCK_ROWS]
+            wi, wj = (np.searchsorted(_POW10[1:], k, side="right") + 1 for k in (bi, bj))
+            for c, e in _runs(wi * 32 + wj):  # digit counts of int64 indices stay below 32
+                di, dj = digits[bi[c:e], -wi[c]:], digits[bj[c:e], -wj[c]:]
+                pair_space, pair_entry = _text_field(b" ", e - c), _text_field(entry, e - c)
+                fh.write(np.hstack([di, pair_space, dj, pair_entry,
+                                    dj, pair_space, di, pair_entry]).tobytes())
 
 
 def _parse_config_file(path: str) -> dict:

@@ -7,16 +7,18 @@ absolute tolerance ``2 * tiny``, LAPACK's most accurate setting.  On
 ``H_kappa`` the lowest levels then agree with an extended-precision Sturm
 count to about 2e-14 relative at ``kappa = 0.05`` and 1.5e-11 at
 ``kappa = 4096^(-3/4)``, where ``E / |H|`` is about 1e-6.  Lattice
-operators in ``d >= 2`` are solved by shift-invert Lanczos (ARPACK) and
-their eigenvalue index is certified by a block Sylvester-inertia count, the
-d-dimensional analogue of the Sturm count: a block LDL^T along axis 0 whose
-pivot blocks are factored by LAPACK ``dsytrf``, the symmetric-indefinite
-factorization of Bunch and Kaufman (Math. Comp. 31 (1977) 163), whose 1x1
-and 2x2 diagonal blocks carry each pivot's inertia.  In every dimension
-the truncation of an operator on ``Z^d`` to a box is certified by a
-Dirichlet-Neumann bracket whose Neumann side is one of these counts, the
-box doubling until the bracket closes.  Dense solves
-(``numpy.linalg.eigvalsh``) are used only as independent oracles in tests.
+operators in ``d >= 2`` are solved by shift-invert Lanczos (ARPACK) on a
+fill-reducing sparse LU, and their eigenvalue index is certified by a block
+Sylvester-inertia count, the d-dimensional analogue of the Sturm count: a
+block LDL^T along axis 0 whose pivot blocks are factored by LAPACK
+``dsytrf``, the symmetric-indefinite factorization of Bunch and Kaufman
+(Math. Comp. 31 (1977) 163), whose 1x1 and 2x2 diagonal blocks carry each
+pivot's inertia.  In every dimension the truncation of an operator on
+``Z^d`` to a box is certified by a Dirichlet-Neumann bracket, the box
+doubling until the bracket closes: its Neumann side is Sturm counts in 1-d,
+and one inertia count with Temple-Lehmann lower bounds from the Dirichlet
+Ritz vectors in ``d >= 2``.  Dense solves (``numpy.linalg.eigvalsh``) are
+used only as independent oracles in tests.
 
 Operators are passed either as a ``(diagonal, offdiagonal)`` pair or as any
 object exposing ``tridiagonal()`` / ``matvec()`` / ``sparse()`` /
@@ -285,63 +287,106 @@ def count_below(op, theta: float) -> int:
     return count
 
 
-def eigs_sparse(op, k: int) -> SpectrumResult:
-    """Lowest ``k`` eigenvalues of a lattice operator with no tridiagonal form.
+def _ritz_pairs(op, wanted: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one shift-invert Lanczos (ARPACK) call: the lowest ``wanted`` Ritz
+    pairs of a lattice operator, values ascending and unit vectors as columns.
 
-    Candidates come from shift-invert Lanczos (ARPACK) at full precision,
-    ``k + 1`` of them, with the shift strictly below the Gershgorin bound so
-    that the largest values of ``(H - sigma)^{-1}`` are the lowest of ``H``;
-    a fixed-seed start vector keeps reruns byte-identical and overlaps every
-    symmetry class.  The index is then certified at the first gap at or
-    above candidate ``k`` wider than the rounding level ``1e3 eps ||H||``
-    (Gershgorin norm): :func:`count_below` at the midpoint of candidates
-    ``j - 1`` and ``j`` of that gap must be exactly ``j``, else
-    :class:`ConvergenceFailure` is raised.  A missed or doubled eigenvalue
-    therefore cannot pass silently.  Usually the gap is at ``j = k``; when
-    ``k`` splits a degenerate cluster, or the count disagrees because ARPACK
-    missed a copy of a degenerate level, the number of candidates is doubled
-    and the search repeated, up to ``size - 1`` of them.  When the midpoint
-    makes a block pivot singular, the count is taken once more at the
-    quarter point of the same gap.
-    """
-    from scipy.sparse.linalg import ArpackError, eigsh
+    The shift ``sigma`` lies strictly below the Gershgorin bound, so that the
+    largest values of ``(H - sigma)^{-1}`` are the lowest of ``H``.  ``H -
+    sigma`` is factored once by SuperLU with the ``MMD_AT_PLUS_A`` ordering
+    (minimum degree on the symmetric pattern, about half the fill of the
+    default ``COLAMD`` on these operators) and passed to ARPACK as ``OPinv``.
+    The start vector has a fixed seed, so reruns are byte-identical, and
+    overlaps every symmetry class.  An ARPACK error raises
+    :class:`ConvergenceFailure`."""
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
-    if not 1 <= k <= op.size - 2:
-        raise ValueError(f"k={k} out of range for size {op.size}")
     reach = 2.0 * op.box.dimension * float(op.coupling)
     lo = float(op.diagonal.min()) - reach
     sigma = lo - 1e-3 * (1.0 + abs(lo))
-    rounding = 1e3 * np.finfo(float).eps * (float(np.abs(op.diagonal).max()) + reach)
+    shifted = dataclasses.replace(op, diagonal=op.diagonal - sigma).sparse()
+    lu = splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    OPinv = LinearOperator(shifted.shape, lu.solve, dtype=float)
     v0 = np.random.default_rng(1234).standard_normal(op.size)
+    try:
+        values, vectors = eigsh(op.sparse(), k=wanted, sigma=sigma, which="LM", tol=0,
+                                v0=v0, OPinv=OPinv)
+    except ArpackError as exc:  # includes ArpackNoConvergence
+        raise ConvergenceFailure(str(exc)) from exc
+    order = np.argsort(values)
+    return values[order], vectors[:, order]
+
+
+def _rounding_level(op) -> float:
+    """``1e3 eps ||H||`` (Gershgorin norm): a gap narrower than this between
+    two candidates may be rounding."""
+    reach = 2.0 * op.box.dimension * float(op.coupling)
+    return 1e3 * np.finfo(float).eps * (float(np.abs(op.diagonal).max()) + reach)
+
+
+def _candidate_sets(op, k: int):
+    """Sorted Ritz pairs of ``op`` for ``k + 1`` candidates, then twice as many
+    at each step, up to ``size - 1`` of them, each with the index ``j`` of the
+    first gap at or above candidate ``k`` wider than :func:`_rounding_level`,
+    or ``j = 0`` when there is none: candidates ``0 .. j - 1`` lie below it."""
+    if not 1 <= k <= op.size - 2:
+        raise ValueError(f"k={k} out of range for size {op.size}")
+    rounding = _rounding_level(op)
     wanted = k + 1
     while True:
-        try:
-            values = eigsh(op.sparse(), k=wanted, sigma=sigma, which="LM", tol=0,
-                           v0=v0, return_eigenvectors=False)
-        except ArpackError as exc:  # includes ArpackNoConvergence
-            raise ConvergenceFailure(str(exc)) from exc
-        values = np.sort(values)
+        values, vectors = _ritz_pairs(op, wanted)
         wide = np.flatnonzero(np.diff(values[k - 1:]) > rounding)
-        if wide.size:
-            j = k + int(wide[0])
+        yield values, vectors, k + int(wide[0]) if wide.size else 0
+        if wanted == op.size - 1:
+            return
+        wanted = min(2 * wanted, op.size - 1)
+
+
+def _exhausted(op, k: int, miss: tuple[int, float, int] | None) -> ConvergenceFailure:
+    """The failure once ``size - 1`` candidates still do not certify their
+    index: ``miss = (count, point, expected)`` of the last count, ``None``
+    when no gap above candidate ``k - 1`` was wider than the rounding level."""
+    if miss is None:
+        return ConvergenceFailure(
+            f"no gap wider than {_rounding_level(op):.3g} above candidate {k - 1}")
+    count, point, expected = miss
+    return ConvergenceFailure(f"index certificate failed: {count} eigenvalues below "
+                              f"{point:.17g}, expected {expected}")
+
+
+def eigs_sparse(op, k: int) -> SpectrumResult:
+    """Lowest ``k`` eigenvalues of a lattice operator with no tridiagonal form.
+
+    Candidates are ``k + 1`` Ritz values from one shift-invert Lanczos
+    (ARPACK) solve at full precision on a fill-reducing sparse LU of ``H -
+    sigma`` (:func:`_ritz_pairs`), the call that :func:`converged_spectrum`
+    makes in ``d >= 2``, so both return bitwise the same values on the same
+    box.  The index is then certified at the first gap at or above candidate
+    ``k`` wider than the rounding level ``1e3 eps ||H||`` (Gershgorin norm):
+    :func:`count_below` at the midpoint of candidates ``j - 1`` and ``j`` of
+    that gap must be exactly ``j``, else :class:`ConvergenceFailure` is
+    raised.  A missed or doubled eigenvalue therefore cannot pass silently.
+    Usually the gap is at ``j = k``; when ``k`` splits a degenerate cluster,
+    or the count disagrees because ARPACK missed a copy of a degenerate level,
+    the number of candidates is doubled and the search repeated, up to ``size
+    - 1`` of them.  When the midpoint makes a block pivot singular, the count
+    is taken once more at the quarter point of the same gap.
+    """
+    miss = None
+    for values, _, j in _candidate_sets(op, k):
+        if j:
+            point = 0.5 * (values[j - 1] + values[j])
             try:
-                count = count_below(op, 0.5 * (values[j - 1] + values[j]))
+                count = count_below(op, point)
             except ConvergenceFailure:
                 # the midpoint is an eigenvalue of a slab block; every point
                 # strictly inside the gap certifies the same index
-                count = count_below(op, values[j - 1] + 0.25 * (values[j] - values[j - 1]))
+                point = values[j - 1] + 0.25 * (values[j] - values[j - 1])
+                count = count_below(op, point)
             if count == j:
                 return SpectrumResult(values=values[:k], box=op.box)
-        if wanted == op.size - 1:
-            if wide.size:
-                raise ConvergenceFailure(
-                    f"index certificate failed: {count} eigenvalues below a point "
-                    f"between candidates {j - 1} and {j}, expected {j}"
-                )
-            raise ConvergenceFailure(
-                f"no gap wider than {rounding:.3g} above candidate {k - 1}"
-            )
-        wanted = min(2 * wanted, op.size - 1)
+        miss = (count, point, j) if j else None
+    raise _exhausted(op, k, miss)
 
 
 def dense_eigvalsh(op) -> np.ndarray:
@@ -521,16 +566,77 @@ def subspace_upper_bounds(op, test_vectors: Sequence[np.ndarray]) -> np.ndarray:
     return scipy.linalg.eigh(A, B, eigvals_only=True)
 
 
-def _neumann_counts(op) -> Callable[[float], int]:
-    """``nu(x)``, the number of eigenvalues ``<= x`` of the Neumann operator
-    of ``op`` (its diagonal less ``coupling`` per cut bond): a ``dstebz``
-    Sturm count in 1-d, :func:`count_below` just above ``x`` in ``d >= 2``."""
+def _bracket_tridiag(op, k: int, floor: float) -> SpectrumResult | None:
+    """The bracket on a 1-d box: the Dirichlet levels ``cur`` by
+    :func:`eigs_tridiag`, certified when ``nu`` just below the floor is at
+    least ``k`` and ``nu(cur_j - tol_j) <= j`` for every ``j < k``, with
+    ``nu(x)`` the Neumann levels ``<= x`` by a ``dstebz`` Sturm count."""
+    cur = eigs_tridiag(op, k)
+    tol = BOX_DOUBLING_RTOL * (1.0 + np.abs(cur.values))
+    if cur.values[-1] - tol[-1] >= floor:  # neither condition can hold
+        return None
     neu = op.diagonal - op.coupling * op.dropped_neighbor_count()
-    if op.box.dimension == 1:
-        off = op.tridiagonal()[1]
-        return lambda x: _stebz(neu, off, upper=x)
-    neu_op = dataclasses.replace(op, diagonal=neu)
-    return lambda x: count_below(neu_op, np.nextafter(x, np.inf))
+    off = op.tridiagonal()[1]
+    if (_stebz(neu, off, upper=np.nextafter(floor, -np.inf)) >= k
+            and all(_stebz(neu, off, upper=x) <= j
+                    for j, x in enumerate(cur.values - tol))):
+        return dataclasses.replace(cur, truncation_width=tol)
+    return None
+
+
+def _lehmann_lower(neu, rho: float, V: np.ndarray) -> np.ndarray | None:
+    """Lower bounds of the top ``j`` levels of ``neu`` below ``rho``, given
+    that exactly ``j`` (the columns of ``V``) lie below it, ascending; ``None``
+    when the pencil yields no bound for every one of them.
+
+    With ``R = (neu - rho) V`` the values ``tau`` of the pencil ``(V^T R, R^T
+    R)`` are the Ritz values of ``(neu - rho)^{-1}`` on the span of ``R``.
+    The lowest eigenvalues of that inverse are ``1 / (neu_{j-1-i} - rho)``,
+    so by interlacing each ``tau_i < 0`` gives ``neu_{j-1-i} >= rho + 1 /
+    tau_i`` (Temple-Lehmann: N. J. Lehmann, ZAMM 29 (1949) 341; C. Beattie
+    and F. Goerisch, Numer. Math. 72 (1995) 143)."""
+    R = dataclasses.replace(neu, diagonal=neu.diagonal - rho).sparse() @ V
+    A = V.T @ R
+    B = R.T @ R
+    try:
+        tau = scipy.linalg.eigh(0.5 * (A + A.T), 0.5 * (B + B.T), eigvals_only=True)
+    except np.linalg.LinAlgError:  # R^T R is not numerically positive definite
+        return None
+    if not np.all(tau < 0.0):
+        return None
+    return (rho + 1.0 / tau)[::-1]
+
+
+def _bracket_sparse(op, k: int, floor: float) -> SpectrumResult | None:
+    """The bracket on a ``d >= 2`` box by one Neumann inertia count and
+    Lehmann lower bounds; the rule is set out in :func:`converged_spectrum`.
+    A Dirichlet count that disagrees with the candidates below ``rho`` means
+    ARPACK missed a level: the candidates double as in :func:`eigs_sparse`,
+    and at ``size - 1`` of them :class:`ConvergenceFailure` is raised."""
+    neu = dataclasses.replace(
+        op, diagonal=op.diagonal - op.coupling * op.dropped_neighbor_count())
+    for values, vectors, j in _candidate_sets(op, k):
+        tol = BOX_DOUBLING_RTOL * (1.0 + np.abs(values[:k]))
+        if values[k - 1] - tol[-1] >= floor:  # no lower bound can reach cur - tol
+            return None
+        miss = None
+        if j:
+            rho = min(0.5 * (values[j - 1] + values[j]), np.nextafter(floor, -np.inf))
+            try:
+                count = count_below(neu, rho)
+            except ConvergenceFailure:  # rho is an eigenvalue of a Neumann slab block
+                return None
+            if count == j:
+                lower = _lehmann_lower(neu, rho, vectors[:, :j])
+                if lower is None or np.any(lower[:k] < values[:k] - tol):
+                    return None
+                return SpectrumResult(values=values[:k], box=op.box, truncation_width=tol)
+            expected = int(np.count_nonzero(values < rho))
+            count = count_below(op, rho)
+            if count == expected:  # the candidates are right: the box is too small
+                return None
+            miss = (count, rho, expected)
+    raise _exhausted(op, k, miss)
 
 
 def converged_spectrum(
@@ -545,24 +651,39 @@ def converged_spectrum(
     ``assemble(M)`` builds the Dirichlet operator on the half-width ``M``
     box; ``outside_floor(M)`` is a lower bound of its potential part
     ``W = diagonal - 2 d coupling`` at every lattice point outside that box.
-    For ``M = M0, 2 M0, ...`` one pass solves the Dirichlet operator for
-    ``cur`` (:func:`eigs_tridiag` when ``d = 1``, :func:`eigs_sparse` when
-    ``d >= 2``) and sets ``tol = BOX_DOUBLING_RTOL * (1 + |cur|)``.  Cutting
-    the boundary bonds lowers the form, so ``H_Z >= H_box^Neu (+) H_out^Neu``
-    with ``H_box^Neu`` the Dirichlet operator less ``coupling`` per cut bond
-    on its diagonal and ``H_out^Neu >= outside_floor(M)``; with Dirichlet
-    monotonicity, ``neu_j <= E_j(H_Z) <= cur_j`` whenever ``neu_k`` lies below
-    the floor (Reed and Simon IV, XIII.15).  The bracket needs no Neumann
-    eigenvalue, only counts ``nu(x)``, the number of Neumann levels ``<= x``:
-    a Sturm count in 1-d (Barth, Martin and Wilkinson, Numer. Math. 9 (1967)
-    386) and the inertia count :func:`count_below` in ``d >= 2``.  The pass
-    accepts ``cur`` when ``nu`` just below the floor is at least ``k`` and
-    ``nu(cur_j - tol_j) <= j`` for every ``j < k``, that is ``cur_j - tol_j <
-    neu_j``, and reports ``tol`` as ``truncation_width``.  The counts are
-    skipped when ``cur_k - tol_k`` already reaches the floor, since both
-    conditions cannot then hold.  Otherwise ``M`` doubles; after
-    ``MAX_DOUBLINGS`` doublings, or where the doubled box would hold more
-    than ``MAX_BOX_POINTS`` points (``(4 M + 1)^d``), it raises
+    Cutting the boundary bonds lowers the form, so ``H_Z >= H_box^Neu (+)
+    H_out^Neu`` with ``H_box^Neu`` the Dirichlet operator less ``coupling``
+    per cut bond on its diagonal and ``H_out^Neu >= outside_floor(M)``; with
+    Dirichlet monotonicity, ``neu_j <= E_j(H_Z) <= cur_j`` whenever ``neu_k``
+    lies below the floor (Reed and Simon IV, XIII.15).  For ``M = M0, 2 M0,
+    ...`` one pass takes the Dirichlet values ``cur`` of the box, sets ``tol
+    = BOX_DOUBLING_RTOL * (1 + |cur|)`` and accepts ``cur`` when every
+    ``neu_j`` is certified to lie above ``cur_j - tol_j`` and ``k`` Neumann
+    levels below the floor, reporting ``tol`` as ``truncation_width``:
+
+    * ``d = 1``: ``cur`` by :func:`eigs_tridiag`, and Sturm counts ``nu(x)``
+      of the Neumann levels ``<= x`` (Barth, Martin and Wilkinson, Numer.
+      Math. 9 (1967) 386): ``nu`` just below the floor is at least ``k`` and
+      ``nu(cur_j - tol_j) <= j`` for every ``j < k``.
+    * ``d >= 2``: ``cur`` the ``k`` lowest Ritz values ``theta`` of the
+      ARPACK solve that :func:`eigs_sparse` makes (:func:`_ritz_pairs`), with
+      their vectors; by min-max ``theta_j >= E_j(Dirichlet)``, with no index
+      count.  With ``j`` the
+      index of the first gap at or above candidate ``k`` wider than the
+      rounding level and ``rho = min(its midpoint, floor^-)``, one inertia
+      count :func:`count_below` of the Neumann operator at ``rho`` must be
+      ``j``; then the ``j`` Temple-Lehmann bounds of :func:`_lehmann_lower`
+      on the first ``j`` Ritz vectors are lower bounds of ``neu_0 ..
+      neu_{j-1}`` and must each lie at or above ``theta - tol``.  Only when
+      the Neumann count is not ``j`` is the Dirichlet operator counted at
+      ``rho``: a count other than the number of candidates below ``rho``
+      means ARPACK missed a level, and the candidates double as in
+      :func:`eigs_sparse`.
+
+    Both counts are skipped when ``cur_k - tol_k`` already reaches the
+    floor, since the conditions cannot then hold.  Any other outcome doubles
+    ``M``; after ``MAX_DOUBLINGS`` doublings, or where the doubled box would
+    hold more than ``MAX_BOX_POINTS`` points (``(4 M + 1)^d``), it raises
     :class:`BoxTooSmall`.  The start box is always solved, however large.
     """
     M = int(M0)
@@ -571,14 +692,10 @@ def converged_spectrum(
             M *= 2
         op = assemble(M)
         d = op.box.dimension
-        cur = (eigs_tridiag if d == 1 else eigs_sparse)(op, k)
-        tol = BOX_DOUBLING_RTOL * (1.0 + np.abs(cur.values))
-        floor = outside_floor(M)
-        if cur.values[-1] - tol[-1] < floor:
-            nu = _neumann_counts(op)
-            if (nu(np.nextafter(floor, -np.inf)) >= k
-                    and all(nu(x) <= j for j, x in enumerate(cur.values - tol))):
-                return dataclasses.replace(cur, truncation_width=tol)
+        bracket = _bracket_tridiag if d == 1 else _bracket_sparse
+        certified = bracket(op, k, outside_floor(M))
+        if certified is not None:
+            return certified
         doubled = (4 * M + 1) ** d
         if doubling < MAX_DOUBLINGS and doubled > MAX_BOX_POINTS:
             raise BoxTooSmall(

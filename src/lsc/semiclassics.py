@@ -307,8 +307,11 @@ def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
     is ``N^(2(1-gamma)) floor((M + 1) / N)`` (:func:`_outside_floor`), the
     box doubling until it certifies.  Separable sums bracket each 1-d axis
     factor and take the tensorized route; any other potential, of any
-    dimension, is bracketed whole.  A non-separable ``d >= 2`` box, start or
-    doubled, is capped at 4096 points and raises :class:`MemoryError` above.
+    dimension, is bracketed whole.  A non-separable ``d >= 2`` box costs one
+    ARPACK solve for Ritz upper bounds and, when it certifies, one inertia
+    count of its Neumann operator, whose Temple-Lehmann lower bounds from the
+    same Ritz vectors close the bracket.  Such a box, start or doubled, is
+    capped at 4096 points and raises :class:`MemoryError` above.
     """
 
     def levels(W: Potential) -> np.ndarray:
@@ -799,19 +802,19 @@ def ims_general_experiment(
     variations = lattice.partition_variation(box, etas)
     d = V.dimension
     bound_patch = 16.0 * d * lam / float(N) ** (2.0 * delta_cut)
-    pts = box.point_array().astype(float)
+    axes = [np.arange(l, h + 1, dtype=float) for l, h in zip(box.lo, box.hi)]
     lam2_VN = op.diagonal - d * float(N) ** 2  # the potential part lam^2 V(x/N)
     rows = []
     for l, center in enumerate(centers):
         well = V.wells[l]
-        harm = np.zeros(box.size)
-        for ax in range(d):
-            harm += (
-                0.5
-                * float(well.frequencies[ax]) ** 2
-                * ((pts[:, ax] - center[ax]) / float(N)) ** 2
-            )
-        diff = lam2_VN - lam**2 * harm
+        # the harmonic model summed axis by axis, each axis term broadcast over
+        # the box from its coordinate vector
+        harm = np.zeros(box.shape)
+        for ax, x in enumerate(axes):
+            term = (0.5 * float(well.frequencies[ax]) ** 2
+                    * ((x - center[ax]) / float(N)) ** 2)
+            harm += term.reshape((-1,) + (1,) * (d - 1 - ax))
+        diff = lam2_VN - lam**2 * harm.reshape(box.size)
         eta = etas[l + 1]
         rows.append(
             ImsPatchRow(

@@ -28,6 +28,7 @@ from lsc.potentials import (
     register_potential,
     two_well,
 )
+from spectral_checks import traced_peak
 
 
 # each spectrum route that ignores flags the command reads elsewhere: its argv and
@@ -276,6 +277,27 @@ class TestDumpMatrix:
         dump_reference(tmp_path / "ref.txt", op)
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
 
+    @pytest.mark.parametrize("block", [7, 10])
+    @pytest.mark.parametrize("make_op", [
+        lambda: random_operator(LatticeBox.centered(1, 50), 2.5),
+        lambda: random_operator(LatticeBox(lo=(0, 0), hi=(11, 8)), 1.0),
+    ], ids=["1d-101", "2d-12x9"])
+    def test_blocks_leave_the_bytes_unchanged(self, tmp_path, monkeypatch, make_op, block):
+        # blocks of 10 rows end where the index digits change, at 10 and 100;
+        # blocks of 7 end inside runs of equal digit counts and split them
+        monkeypatch.setattr(cli, "_DUMP_BLOCK_ROWS", block)
+        op = make_op()
+        cli.dump_matrix(str(tmp_path / "new.txt"), op)
+        dump_reference(tmp_path / "ref.txt", op)
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        # the benchmark's 100,001-row dump: 11.9 MB when every line was laid out
+        # before the first write, 4.7 MB in blocks (the index pairs and digits
+        # of the whole operator stay, 2.2 MB)
+        op = assemble_Hkappa(0.01, LatticeBox.centered(1, 50_000))
+        assert traced_peak(lambda: cli.dump_matrix(str(tmp_path / "d.txt"), op)) <= 6e6
+
     @pytest.mark.parametrize("kappa", [0.005, 0.0123, 0.02])
     def test_hkappa_diagonal_needs_no_percent_pass(self, kappa):
         # every distinct diagonal value of the benchmark's H_kappa dump takes the
@@ -347,14 +369,25 @@ def test_int_field_writes_str(values):
         str(int(v)) for v in values.tolist()]
 
 
-def test_importing_the_cli_loads_no_decimal_arithmetic():
-    # the exact formatter needs neither module, and set-up time would pay for them
-    code = "import sys, lsc.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+def modules_loaded_by_importing_the_cli(names):
+    """Which of ``names`` a fresh interpreter holds after ``import lsc.cli``."""
+    code = f"import sys, lsc.cli; print(sorted({set(names)!r} & set(sys.modules)))"
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_importing_the_cli_loads_no_decimal_arithmetic():
+    # the exact formatter needs neither module, and set-up time would pay for them
+    assert modules_loaded_by_importing_the_cli({"fractions", "decimal"}) == "[]"
+
+
+def test_importing_the_cli_loads_no_sparse_solvers():
+    # ARPACK and SuperLU are imported by the d >= 2 solve that uses them, so
+    # the commands that never solve such a box do not pay for them at start-up
+    assert modules_loaded_by_importing_the_cli({"scipy.sparse.linalg"}) == "[]"
 
 
 class TestSpectrumCommand:
@@ -1169,7 +1202,11 @@ README_GOLDEN = {
 }
 
 
-# SHA-256 of the triplet dump, the CSV and the JSON summary of each run
+# SHA-256 of the triplet dump, the CSV and the JSON summary of each run.  The
+# double_well_2d CSV digest was re-recorded when the shift-invert solve began
+# factoring H - sigma with the MMD_AT_PLUS_A ordering: E_1 moved from
+# 192.53293743466349 to 192.53293743466361 (6.2e-16 relative), now equal to
+# E_2, its partner under the x <-> y reflection
 DUMP_GOLDEN = {
     "double_well": (
         "spectrum --potential double_well --M 40",
@@ -1180,7 +1217,7 @@ DUMP_GOLDEN = {
     "double_well_2d": (
         "spectrum --potential double_well_2d --M 10 --k 3",
         "9bae1b954e8561beb2f2e3c4673b53b1d1ae04802a1601151f7e93df899b9e1d",
-        "6022decf67c946918e071bb283072fcccec9a6ba83b88da34f0cadb8a7f24fe0",
+        "2023c320e5f2eb63fd06a23550461f3fe041b273f4deee92d931becdba6f28ea",
         "c9e501bdb51ae7d484ab9132a01cb81a1c7f684408b0702c26cf0171f00407c2",
     ),
 }

@@ -337,17 +337,15 @@ class TestSparse:
         assert eigs_sparse(op, 4).values.tobytes() == eigs_sparse(op, 4).values.tobytes()
 
     def test_missed_candidate_fails_the_index_certificate(self, monkeypatch):
-        import scipy.sparse.linalg
+        ritz_pairs = eigensolve._ritz_pairs
 
-        real = scipy.sparse.linalg.eigsh
-
-        def drops_one(A, k, **kwargs):
+        def drops_one(op, wanted):
             # every retry misses the same level; at the cap of size - 1
             # candidates ARPACK cannot be asked for one more
-            values = np.sort(real(A, k=min(k + 1, A.shape[0] - 1), **kwargs))
-            return np.delete(values, 1)
+            values, vectors = ritz_pairs(op, min(wanted + 1, op.size - 1))
+            return np.delete(values, 1), np.delete(vectors, 1, axis=1)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drops_one)
+        monkeypatch.setattr(eigensolve, "_ritz_pairs", drops_one)
         with pytest.raises(ConvergenceFailure, match="index certificate"):
             eigs_sparse(two_well_2d(2, M=8), 4)
 
@@ -492,11 +490,28 @@ class TestSingleLapackPath:
                 elif isinstance(node, ast.alias):
                     yield path.stem, owner, node.name.rpartition(".")[2]
 
+    @staticmethod
+    def calls(path):
+        """``(module, top-level definition, callee name, keyword names,
+        positional count)`` for every call in a module."""
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    yield (path.stem, getattr(top, "name", None), callee,
+                           {kw.arg for kw in node.keywords}, len(node.args))
+
     def test_one_call_site_per_routine(self):
         refs = [r for path in self.SOURCES for r in self.references(path)]
         assert [r for r in refs if r[2] == "dstebz"] == [("eigensolve", "_stebz", "dstebz")]
         assert [r for r in refs if r[2] == "dstein"] == [("eigensolve", "_stein", "dstein")]
         assert [r for r in refs if r[2] in self.BANNED] == []
+        # one sparse LU and one shift-invert Lanczos call, in the shared helper
+        calls = [c for path in self.SOURCES for c in self.calls(path)]
+        assert [c[:2] for c in calls if c[2] == "splu"] == [("eigensolve", "_ritz_pairs")]
+        assert [c[:2] for c in calls
+                if c[2] == "eigsh" and ("sigma" in c[3] or c[4] > 3)] == [
+            ("eigensolve", "_ritz_pairs")]
 
 
 class TestEigenvectors:
@@ -856,10 +871,13 @@ class TestTruncationBracket:
         np.testing.assert_array_equal(
             res.truncation_width, eigensolve.BOX_DOUBLING_RTOL * (1.0 + np.abs(res.values)))
 
-    def test_2d_edge_levels_double_once(self):
+    def test_2d_edge_levels_double_once(self, monkeypatch):
         # in 2-d the edge well is a square ring that holds all three tracked
         # levels; the inertia counts of the Neumann operator refuse the start
-        # box and certify the doubled one
+        # box and certify the doubled one.  A cap above the doubled box
+        # (81^2 points) stops a run that refuses it too, instead of doubling
+        # into boxes of millions of points
+        monkeypatch.setattr(eigensolve, "MAX_BOX_POINTS", 10_000)
         boxes = []
 
         def assemble(M):
@@ -872,6 +890,130 @@ class TestTruncationBracket:
             res.truncation_width, eigensolve.BOX_DOUBLING_RTOL * (1.0 + np.abs(res.values)))
         np.testing.assert_array_equal(res.values,
                                       eigs_sparse(self.edge_wells(2, 40), 3).values)
+
+    @staticmethod
+    def neumann(op):
+        return SymmetricLatticeOperator(
+            box=op.box, diagonal=op.diagonal - op.coupling * op.dropped_neighbor_count(),
+            coupling=op.coupling)
+
+    @staticmethod
+    def bowl(hi, seed):
+        """A rough quadratic bowl on the box ``0 .. hi`` with coupling 1."""
+        box = LatticeBox(lo=(0,) * len(hi), hi=hi)
+        x = box.point_array().astype(float)
+        rough = np.random.default_rng(seed).uniform(0.0, 0.5, box.size)
+        diag = 2.0 * len(hi) + 0.3 * ((x - 0.5 * np.array(hi)) ** 2).sum(axis=1) + rough
+        return SymmetricLatticeOperator(box=box, diagonal=diag, coupling=1.0)
+
+    @pytest.mark.parametrize("make_op, k", [
+        (lambda: two_well_2d(2, M=18), 4),  # the start box of levels_HN at N = 2
+        (lambda: two_well_2d(2, M=6), 4),
+        (lambda: two_well_2d(2, M=5), 4),
+        (lambda: TestTruncationBracket.bowl((9, 12), 0), 3),
+        (lambda: TestTruncationBracket.bowl((6, 7, 8), 1), 4),
+    ], ids=["two_well_N2_start", "two_well_N2_M6", "two_well_N2_M5", "bowl_2d", "bowl_3d"])
+    def test_lehmann_bounds_lie_below_the_neumann_levels(self, make_op, k):
+        # with exactly k Neumann levels below rho, the Temple-Lehmann bounds
+        # from the Dirichlet Ritz vectors lie below the dense Neumann levels, up
+        # to the rounding of the dense oracle itself (its levels on the start
+        # box read up to 2.3e-13 relative off the Ritz values, about 5 eps |H|);
+        # on the smaller boxes the cut bonds lower the Neumann levels by 1e-5
+        # to 1e-1 relative, and the bounds stay below them
+        op = make_op()
+        neu = self.neumann(op)
+        values, vectors = eigensolve._ritz_pairs(op, k + 1)
+        rho = 0.5 * (values[k - 1] + values[k])
+        assert count_below(neu, rho) == k
+        lower = eigensolve._lehmann_lower(neu, rho, vectors[:, :k])
+        dense = np.linalg.eigvalsh(neu.dense())[:k]
+        norm = np.abs(op.diagonal).max() + 2 * op.box.dimension * op.coupling
+        assert np.all(lower <= dense + 64 * np.finfo(float).eps * norm)
+        assert np.all(lower <= values[:k] + 64 * np.finfo(float).eps * norm)
+
+    @pytest.mark.parametrize("column, keep, noise", [(2, 1.0, 1e-6), (0, 0.0, 1.0)])
+    def test_perturbed_ritz_vector_is_refused(self, monkeypatch, column, keep, noise):
+        # the start box certifies with ARPACK's vectors.  A relative error of
+        # 1e-6 in one of them loosens its Lehmann bound far past the
+        # tolerance.  A random vector in place of the ground state has its
+        # Rayleigh quotient far above rho, so one tau is positive and gives no
+        # bound, while the other three still bound levels 1 to 3 closely
+        op, floor = two_well_2d(2, M=18), 50.0
+        assert eigensolve._bracket_sparse(op, 4, floor) is not None
+        ritz_pairs = eigensolve._ritz_pairs
+
+        def perturbed(op, wanted):
+            values, vectors = ritz_pairs(op, wanted)
+            v = (keep * vectors[:, column]
+                 + noise * np.random.default_rng(0).standard_normal(op.size))
+            vectors[:, column] = v / np.linalg.norm(v)
+            return values, vectors
+
+        monkeypatch.setattr(eigensolve, "_ritz_pairs", perturbed)
+        assert eigensolve._bracket_sparse(op, 4, floor) is None
+
+    @pytest.mark.parametrize("dropped", [1, 4])
+    def test_dropped_ritz_pair_is_never_certified(self, monkeypatch, dropped):
+        # ARPACK that misses the same level on every call: dropping pair 4
+        # puts rho above the fifth Neumann level, dropping pair 1 leaves a
+        # candidate above its level; either way the Neumann count is 5, not 4,
+        # no Lehmann bound is taken, the Dirichlet count disagrees with the
+        # candidates and, at size - 1 of them, the box fails instead of
+        # returning wrong values
+        import scipy.sparse.linalg
+
+        real = scipy.sparse.linalg.eigsh
+        lehmann = []
+
+        def drops_one(A, k, **kwargs):
+            values, vectors = real(A, k=min(k + 1, A.shape[0] - 1), **kwargs)
+            order = np.argsort(values)
+            return np.delete(values[order], dropped), np.delete(vectors[:, order], dropped, 1)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", drops_one)
+        monkeypatch.setattr(eigensolve, "_lehmann_lower", lambda *a: lehmann.append(a))
+        # a box left uncertified would double; the cap stops that at once
+        monkeypatch.setattr(eigensolve, "MAX_BOX_POINTS", 1000)
+        with pytest.raises(ConvergenceFailure, match="index certificate failed: 5 "):
+            converged_spectrum(lambda M: two_well_2d(2, M=M), 8, 4, lambda M: 50.0)
+        assert lehmann == []
+
+    def test_certified_box_takes_one_inertia_count(self, monkeypatch):
+        # one ARPACK solve and one count, of the Neumann operator, per box
+        counts, solves = [], []
+        count, ritz_pairs = eigensolve.count_below, eigensolve._ritz_pairs
+        monkeypatch.setattr(eigensolve, "count_below",
+                            lambda op, theta: counts.append(op) or count(op, theta))
+        monkeypatch.setattr(eigensolve, "_ritz_pairs",
+                            lambda op, wanted: solves.append(op) or ritz_pairs(op, wanted))
+        res = converged_spectrum(lambda M: two_well_2d(2, M=M), 18, 4, lambda M: 50.0)
+        assert res.box == LatticeBox.centered(2, 18) and len(solves) == 1
+        assert len(counts) == 1
+        np.testing.assert_array_equal(counts[0].diagonal, self.neumann(solves[0]).diagonal)
+        np.testing.assert_array_equal(res.values, eigs_sparse(two_well_2d(2, M=18), 4).values)
+
+    def test_singular_neumann_pivot_leaves_the_box_uncertified(self, monkeypatch):
+        # 2 x 2 free Laplacian: Dirichlet levels 2, 4, 4, 6, so rho = 3; its
+        # Neumann slab block [[2, -1], [-1, 2]] has the eigenvalue 3.  The count
+        # fails, the box doubles instead of the run stopping, and the open
+        # bracket ends at the (monkeypatched) box cap
+        monkeypatch.setattr(eigensolve, "MAX_BOX_POINTS", 30)
+        failed = []
+        count = eigensolve.count_below
+
+        def recording_count(op, theta):
+            try:
+                return count(op, theta)
+            except ConvergenceFailure:
+                failed.append((op.box.shape, theta))
+                raise
+
+        monkeypatch.setattr(eigensolve, "count_below", recording_count)
+        with pytest.raises(BoxTooSmall, match="half-width 2 after 1 doublings"):
+            converged_spectrum(
+                lambda M: assemble_laplacian(LatticeBox(lo=(0, 0), hi=(M, M))), 1, 1,
+                lambda M: 10.0)
+        assert failed == [((2, 2), 3.0)]
 
     def test_neumann_level_at_the_floor_is_not_certified(self, monkeypatch):
         # a floor at the top level passes the width test but not the index

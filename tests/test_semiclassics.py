@@ -470,13 +470,13 @@ class TestNonseparableLevels:
         V = dataclasses.replace(two_well(omega=1.0, separation=2.0, d=2),
                                 floor=lambda r: 0.0 * r)
         solves = []
-        solve = eigensolve.eigs_sparse
+        ritz_pairs = eigensolve._ritz_pairs
 
-        def counting_solve(op, k):
+        def counting_solve(op, wanted):
             solves.append(op.size)
-            return solve(op, k)
+            return ritz_pairs(op, wanted)
 
-        monkeypatch.setattr(eigensolve, "eigs_sparse", counting_solve)
+        monkeypatch.setattr(eigensolve, "_ritz_pairs", counting_solve)
         with pytest.raises(MemoryError, match=(
                 "^non-separable dense fallback capped at 4096 points; requested 5329$")):
             semiclassics.levels_HN(V, ScalingParams(N=2, gamma=0.0, omega=1.0), 4)
@@ -620,7 +620,7 @@ class TestTruncationBracket:
         assert all(res.truncation_width is not None for res in results)
 
     def test_one_solve_per_converged_spectrum_call(self, tmp_path, monkeypatch):
-        results, solves = [], {"eigs_tridiag": 0, "eigs_sparse": 0}
+        results, solves = [], {"eigs_tridiag": 0, "_ritz_pairs": 0}
         converged = eigensolve.converged_spectrum
 
         def recording_converged(*args):
@@ -642,16 +642,21 @@ class TestTruncationBracket:
         ranges = record_dstebz_ranges(monkeypatch)
         monkeypatch.chdir(tmp_path)
         assert cli.main("kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5".split()) == cli.EXIT_OK
-        assert len(results) == 4 and solves == {"eigs_tridiag": 4, "eigs_sparse": 0}
+        assert len(results) == 4 and solves == {"eigs_tridiag": 4, "_ritz_pairs": 0}
         # one index solve (RANGE='I') per box; the Neumann side is 6 + 1 counts
         assert (ranges.count(2), ranges.count(1)) == (4, 4 * 7)
-        # a non-separable 2-d potential: one sparse solve per level set, each
-        # certified on its start box
+        # a non-separable 2-d potential: one ARPACK solve and one inertia count
+        # per level set, each certified on its start box
         V = two_well(omega=1.0, separation=2.0, d=2)
+        counts = []
+        count_below = eigensolve.count_below
+        monkeypatch.setattr(eigensolve, "count_below",
+                            lambda *args: counts.append(args) or count_below(*args))
         for N in (2, 4):
             params = ScalingParams(N=N, gamma=0.0, omega=1.0)
             semiclassics.levels_HN(V, params, 4)
             M0 = semiclassics._box_start_halfwidth(V, params, 4)
             assert results[-1].box == LatticeBox.centered(2, M0)
-        assert len(results) == 6 and solves == {"eigs_tridiag": 4, "eigs_sparse": 2}
+        assert len(results) == 6 and solves == {"eigs_tridiag": 4, "_ritz_pairs": 2}
+        assert len(counts) == 2
         assert all(res.truncation_width is not None for res in results)
