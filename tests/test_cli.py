@@ -1247,7 +1247,9 @@ def test_readme_example_bytes(tmp_path, monkeypatch, name):
 # SHA-256 of the CSV and the JSON summary of the benchmark's IMS runs and
 # their exit codes, recorded before the slice-based IMS kernels and the
 # one-solve-per-distinct-block commutator norms, which must leave every byte
-# as it was (the 2-d potential floor misses its target at N = 16 and 32)
+# as it was (the 2-d potential floor misses its target at N = 16 and 32); the
+# N = 64 and 4096 entries were recorded before the kernels moved onto the
+# bumps' support windows
 IMS_GOLDEN = {
     "ims_dw2d_N16": (
         "ims --potential double_well_2d --N 16 --delta-cut 0.2", cli.EXIT_ASSERTION,
@@ -1263,6 +1265,16 @@ IMS_GOLDEN = {
         "ims --potential two_well --N 4096 --gamma 0.5 --delta-cut 0.2", cli.EXIT_OK,
         "6cf00df1ddb1a9fe78820799dbd89bab2bce8172893d42b8ff45f98a04344d57",
         "febe870f020808b02ff6dcdfcc6dcb8ab829258c9d46b5465951422efae0c493",
+    ),
+    "ims_dw2d_N64": (
+        "ims --potential double_well_2d --N 64 --delta-cut 0.2", cli.EXIT_OK,
+        "68af0a9fb4857742ea176e5f1dfe81a8b6bdc1da2e24e5b586d1eb71a0b25274",
+        "cb088a2725e1eadabadc4a0ba1969c702aebfd23a6c4cc0d926ab8c7caf2302e",
+    ),
+    "ims_dw_N4096": (
+        "ims --potential double_well --N 4096 --gamma 0 --delta-cut 0.2", cli.EXIT_OK,
+        "6fc1d6d3a40b754fc1c0453765fee224ccc30e2d46753c5abca4bd1f638dff23",
+        "4df3d659b2171e28fa666a0168233770044f8adc6e357aca44e86b46dfe29bd6",
     ),
 }
 
