@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -116,14 +117,8 @@ class LatticeBox:
 
     def coords(self) -> np.ndarray:
         if self.dimension != 1:
-            raise ValueError("coords() is one-dimensional; use point_array()")
+            raise ValueError("coords() is one-dimensional")
         return np.arange(self.lo[0], self.hi[0] + 1)
-
-    def point_array(self) -> np.ndarray:
-        """All lattice points as an ``(size, d)`` array in index order."""
-        axes = [np.arange(l, h + 1) for l, h in zip(self.lo, self.hi)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1).reshape(self.size, self.dimension)
 
     def neighbor_index_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index pairs (i, j), i < j, of nearest neighbors inside the box."""
@@ -470,6 +465,136 @@ def beta_rate_bound(n: int, kappa0: float) -> float:
 # quadratic partitions of unity and the localization remainder
 # ----------------------------------------------------------------------
 
+# The partition functions are kept as windows: each one's values on a sub-box
+# of the lattice box, and a constant fill (0 or 1) outside it.  ``lsc ims``
+# keeps every bump on its support cube and eta_0 on the bumps' bounding box;
+# a full array is the window over the whole box.  One implementation of each
+# kernel serves both forms.  The kernels touch only the points and neighbor
+# pairs of the windows: elsewhere every function equals its exact fill, so
+# each residual, commutator entry and variation there is exactly 0.  Local C
+# order within a window maps monotonically to box order, so every pair list
+# and commutator block comes out in the order of the full arrays.
+
+@dataclass(eq=False)
+class _Window:
+    """A partition function: ``values`` on the sub-box whose offsets from
+    ``box.lo`` run from ``start`` up to ``stop = start + values.shape``, and
+    ``fill`` everywhere else.  An empty window has ``start`` 0 and no values.
+    In a partition, a window with fill 1 contains all the others."""
+
+    start: tuple[int, ...]
+    values: np.ndarray
+    fill: float
+    stop: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.stop = tuple(map(operator.add, self.start, self.values.shape))
+
+    @property
+    def slices(self) -> tuple[slice, ...]:
+        """The window within a box-shaped array."""
+        return _block(self.start, self.values.shape)
+
+
+def _block(offset, shape) -> tuple[slice, ...]:
+    """Slices of the block of ``shape`` at ``offset``."""
+    return tuple(map(slice, offset, map(operator.add, offset, shape)))
+
+
+def _minus(a, b) -> tuple[int, ...]:
+    return tuple(map(operator.sub, a, b))
+
+
+def _hull(windows: Sequence[_Window], shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(start, stop)`` of the nonempty windows' bounding box grown by one
+    site per side and clipped to ``shape``; empty at the origin if none."""
+    live = [w for w in windows if w.values.size]
+    if not live:
+        return (0,) * len(shape), (0,) * len(shape)
+    starts, stops = zip(*((w.start, w.stop) for w in live))
+    return (tuple(max(min(a) - 1, 0) for a in zip(*starts)),
+            tuple(min(max(b) + 1, n) for b, n in zip(zip(*stops), shape)))
+
+
+def _on(w: _Window, start, stop) -> np.ndarray:
+    """The values of ``w`` on the sub-box ``[start, stop)``."""
+    if w.start == start and w.stop == stop:
+        return w.values
+    out = np.full(_minus(stop, start), w.fill)
+    lo, hi = tuple(map(max, w.start, start)), tuple(map(min, w.stop, stop))
+    if all(l < h for l, h in zip(lo, hi)):
+        out[_block(_minus(lo, start), _minus(hi, lo))] = \
+            w.values[_block(_minus(lo, w.start), _minus(hi, lo))]
+    return out
+
+
+def _positive_range(c: float, r: float, lo: int, hi: int) -> tuple[int, int]:
+    """First and last site ``x`` in ``[lo, hi]`` where ``2 - 2 |x - c| / r``
+    is positive, by that very expression.
+
+    The value falls as ``|x - c|`` grows, so these sites form an interval.
+    They lie strictly within ``r`` of ``c``, hence between ``floor(c - r)``
+    and ``ceil(c + r)`` even with those ends rounded, and the scan inward
+    from those ends takes a few steps.  ``a > b`` means there are none.
+    """
+    a = lo if c - r <= lo else min(math.floor(c - r), hi + 1)
+    b = hi if c + r >= hi else max(math.ceil(c + r), lo - 1)
+    while a <= b and not 2.0 - 2.0 * abs(a - c) / r > 0.0:
+        a += 1
+    while b >= a and not 2.0 - 2.0 * abs(b - c) / r > 0.0:
+        b -= 1
+    return a, b
+
+
+def _ims_windows(
+    centers: Sequence, inner_radius: float, box: LatticeBox
+) -> list[_Window]:
+    """The partition of :func:`ims_partition`, ``eta_0`` first, as windows.
+
+    Bump ``l`` is kept on the lattice cube ``|x - c_l|_inf < r`` clipped to
+    the box, which is exactly where it is positive, so two supports share a
+    point exactly when their windows intersect on every axis.  ``eta_0`` is
+    kept on the bounding box of the bump windows grown by one site and
+    clipped to the box; it is 1 outside.  Every value comes from the same
+    floating-point operations as on the whole box.
+    """
+    if not inner_radius > 0:  # also rejects NaN
+        raise ValueError("inner_radius must be positive")
+    d = box.dimension
+    bumps: list[_Window] = []
+    for c in centers:
+        c = np.atleast_1d(np.asarray(c, dtype=float))
+        if c.size != d:
+            raise ValueError("partition center dimension mismatch")
+        start, dists = [], []
+        for ax, (cx, l, h) in enumerate(zip(c, box.lo, box.hi)):
+            if not math.isfinite(cx):
+                raise ValueError("partition centers must be finite")
+            a, b = _positive_range(float(cx), inner_radius, l, h)
+            start.append(a - l)
+            # this axis's distances, shaped to broadcast along the later axes
+            dist = np.abs(np.arange(a, b + 1) - cx)
+            dists.append(dist.reshape((-1,) + (1,) * (d - 1 - ax)))
+        if all(x.size for x in dists):
+            # |x - c|_inf as the broadcast maximum of the per-axis distances
+            dist = functools.reduce(np.maximum, dists)
+            bump = _Window(tuple(start),
+                           np.clip(2.0 - 2.0 * dist / inner_radius, 0.0, 1.0), 0.0)
+        else:
+            bump = _Window((0,) * d, np.zeros((0,) * d), 0.0)
+        for other in bumps:
+            if all(max(a1, a2) < min(b1, b2) for a1, a2, b1, b2
+                   in zip(bump.start, other.start, bump.stop, other.stop)):
+                raise OverlappingSupports("two bump supports intersect")
+        bumps.append(bump)
+    lo, hi = _hull(bumps, box.shape)
+    s2 = np.zeros(_minus(hi, lo))
+    for w in bumps:
+        if w.values.size:
+            s2[_block(_minus(w.start, lo), w.values.shape)] += w.values * w.values
+    return [_Window(lo, np.sqrt(np.clip(1.0 - s2, 0.0, None)), 1.0)] + bumps
+
+
 def ims_partition(
     centers: Sequence, inner_radius: float, box: LatticeBox
 ) -> list[np.ndarray]:
@@ -478,59 +603,75 @@ def ims_partition(
     Each bump is ``clip(2 - 2 |x - c|_inf / r, 0, 1)``: identically 1
     within ``r/2`` of its center, zero beyond ``r``, with single-step
     variation at most ``2/r``.  ``eta_0 = sqrt(1 - sum eta_l^2)`` completes
-    the quadratic partition.  Raises :class:`OverlappingSupports` when two
-    bump supports share a lattice point.
+    the quadratic partition.  The functions are built on their support
+    windows and returned as full arrays on the box, ``eta_0`` first.
+    Raises :class:`OverlappingSupports` when two bump supports share a
+    lattice point, and ``ValueError`` for a radius that is not positive
+    (NaN included) or a center that is not finite.
     """
-    if inner_radius <= 0:
-        raise ValueError("inner_radius must be positive")
-    axes = [np.arange(l, h + 1) for l, h in zip(box.lo, box.hi)]
-    etas: list[np.ndarray] = []
-    masks: list[np.ndarray] = []
-    for c in centers:
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        if c.size != box.dimension:
-            raise ValueError("partition center dimension mismatch")
-        # |x - c|_inf as the broadcast maximum of the per-axis distances
-        dist = functools.reduce(
-            np.maximum, np.ix_(*[np.abs(x - cx) for x, cx in zip(axes, c)]))
-        eta = np.clip(2.0 - 2.0 * dist / inner_radius, 0.0, 1.0).reshape(box.size)
-        mask = eta > 0.0
-        for other in masks:
-            if np.any(mask & other):
-                raise OverlappingSupports("two bump supports intersect")
+    etas = []
+    for w in _ims_windows(centers, inner_radius, box):
+        eta = np.full(box.size, w.fill) if w.fill else np.zeros(box.size)
+        eta.reshape(box.shape)[w.slices] = w.values
         etas.append(eta)
-        masks.append(mask)
-    s2 = np.zeros(box.size)
-    for eta in etas:
-        s2 += eta * eta
-    eta0 = np.sqrt(np.clip(1.0 - s2, 0.0, None))
-    return [eta0] + etas
+    return etas
 
 
-def _check_partition(box: LatticeBox, etas: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum eta_j^2`` per point; raises unless it is 1 within ``1e-12``."""
-    s2 = np.zeros(box.size)
-    for eta in etas:
-        s2 += np.asarray(eta, dtype=float) ** 2
-    if np.max(np.abs(s2 - 1.0)) > 1e-12:
+def _spans(
+    box: LatticeBox, etas: Sequence
+) -> tuple[tuple[int, ...], tuple[int, ...], list[tuple[tuple[slice, ...], np.ndarray]]]:
+    """The kernels' region and each function's span within it.
+
+    ``etas`` holds either full arrays on the box, each a window over the
+    whole box, or windows.  The region is the windows' bounding box grown by one site:
+    outside it, every function equals its fill at both ends of every
+    neighbor pair.  Each window spans itself grown by one site, beyond
+    which its pair terms are those of its fill: they vanish for fill 0, and
+    a window with fill 1 contains the others, so it spans the region.
+    Returns the region's start and shape and, per function, its span as
+    slices of the region with the function's values on the span.  A
+    region-shaped array ``acc`` then holds the pairs along an axis of a
+    span at ``acc[span][a]``, with ``(a, b)`` that axis's neighbor slices.
+    """
+    d = box.dimension
+    if not (etas and isinstance(etas[0], _Window)):  # all spans are the box
+        return (0,) * d, box.shape, [
+            ((slice(None),) * d, np.asarray(eta, dtype=float).reshape(box.shape))
+            for eta in etas]
+    start, stop = _hull(etas, box.shape)
+    spans = []
+    for w in etas:
+        lo, hi = _hull([w], box.shape) if w.values.size else (start, start)
+        spans.append((_block(_minus(lo, start), _minus(hi, lo)), _on(w, lo, hi)))
+    return start, _minus(stop, start), spans
+
+
+def _check_partition(shape: tuple[int, ...], spans) -> np.ndarray:
+    """``sum eta_j^2`` on the region; raises unless it is 1 within ``1e-12``.
+
+    Outside the region the sum is that of the squared fills, which is 1 for
+    every partition built here, so this checks every point where it can fail.
+    """
+    s2 = np.zeros(shape)
+    for span, g in spans:
+        view = s2[span]
+        view += g ** 2
+    if not np.max(np.abs(s2 - 1.0), initial=0.0) <= 1e-12:  # NaN fails too
         raise PartitionNotUnity("squared bumps do not sum to 1 within 1e-12")
     return s2
 
 
-def _grids(box: LatticeBox, etas: Sequence[np.ndarray]) -> list[np.ndarray]:
-    return [np.asarray(eta, dtype=float).reshape(box.shape) for eta in etas]
-
-
 def _nonzero_pairs(
-    shape: tuple[int, ...], per_axis: Sequence[np.ndarray]
+    shape: tuple[int, ...], offset, per_axis: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Box indices ``(i, j)`` and values of the nonzero entries of per-axis
-    neighbor-pair arrays, in the pair order of
+    neighbor-pair arrays of the sub-box at ``offset``, in the pair order of
     :meth:`LatticeBox.neighbor_index_pairs`."""
     rows, cols, vals = [], [], []
     for ax, v in enumerate(per_axis):
         hit = np.nonzero(v)
-        i = np.ravel_multi_index(hit, shape)
+        i = np.ravel_multi_index(
+            tuple(h + o for h, o in zip(hit, offset)) if any(offset) else hit, shape)
         rows.append(i)
         cols.append(i + math.prod(shape[ax + 1:]))
         vals.append(v[hit])
@@ -544,17 +685,19 @@ def ims_remainder(
 
     For multiplication operators the double commutator has entries
     ``L(x, y) (eta(x) - eta(y))^2``, so the remainder lives on the neighbor
-    pairs only; it is assembled exactly as a sparse matrix.
+    pairs only; it is assembled exactly as a sparse matrix.  Only the pairs
+    of the bumps' windows are read; every other remainder entry is exactly 0.
     """
-    _check_partition(op.box, etas)
-    grids = _grids(op.box, etas)
+    start, shape, spans = _spans(op.box, etas)
+    _check_partition(shape, spans)
     per_axis = []
     for a, b in _neighbor_slices(op.box.dimension):
-        w = np.zeros(grids[0][a].shape)
-        for g in grids:
-            w += (g[a] - g[b]) ** 2
-        per_axis.append(-op.coupling * 0.5 * w)
-    i, j, data = _nonzero_pairs(grids[0].shape, per_axis)
+        w = np.zeros(shape)
+        for span, g in spans:
+            view = w[span][a]
+            view += (g[a] - g[b]) ** 2
+        per_axis.append(-op.coupling * 0.5 * w[a])
+    i, j, data = _nonzero_pairs(op.box.shape, start, per_axis)
     rows = np.concatenate([i, j])
     cols = np.concatenate([j, i])
     return scipy.sparse.coo_matrix(
@@ -568,23 +711,26 @@ def ims_identity_residual(
     """Max-abs entry of ``H - sum eta_j H eta_j - remainder``, relative to ``|H|_max``.
 
     The identity is algebraic, so this measures pure rounding; values above
-    ``1e-12`` indicate a broken partition.
+    ``1e-12`` indicate a broken partition.  Only the points and pairs of the
+    windows are read: elsewhere every entry of the residual is exactly 0.
     """
-    sum_sq = _check_partition(op.box, etas)
-    grids = _grids(op.box, etas)
+    start, shape, spans = _spans(op.box, etas)
+    sum_sq = _check_partition(shape, spans)
     off_max = []
     for a, b in _neighbor_slices(op.box.dimension):
-        sum_prod = np.zeros(grids[0][a].shape)
-        sum_dd = np.zeros(grids[0][a].shape)
-        for g in grids:
+        sum_prod = np.zeros(shape)
+        sum_dd = np.zeros(shape)
+        for span, g in spans:
             x, y = g[a], g[b]
-            sum_prod += x * y
-            sum_dd += (x - y) ** 2
-        off_resid = -op.coupling * (1.0 - sum_prod - 0.5 * sum_dd)
+            prod, dd = sum_prod[span][a], sum_dd[span][a]
+            prod += x * y
+            dd += (x - y) ** 2
+        off_resid = -op.coupling * (1.0 - sum_prod[a] - 0.5 * sum_dd[a])
         off_max.append(np.abs(off_resid).max(initial=0.0))
-    diag_resid = op.diagonal * (1.0 - sum_sq)
+    diag = op.diagonal.reshape(op.box.shape)[_block(start, shape)]
+    diag_resid = diag * (1.0 - sum_sq)
     hmax = max(float(np.abs(op.diagonal).max()), op.coupling)
-    worst = max(float(np.max(off_max)), float(np.abs(diag_resid).max()))
+    worst = max(float(np.max(off_max)), float(np.abs(diag_resid).max(initial=0.0)))
     return worst / hmax
 
 
@@ -600,7 +746,8 @@ def double_commutator_norms(
     """Spectral norm of each ``[eta_j, [eta_j, L]]``.
 
     The commutator has entries ``-coupling (eta(x) - eta(y))^2`` on neighbor
-    pairs and vanishes elsewhere, so only its support is kept.  That block
+    pairs and vanishes elsewhere, so only its support is kept; it is read
+    from the pairs of each function's window.  That block
     has a zero diagonal, nonpositive off-diagonal entries and a bipartite
     pattern, hence a spectrum symmetric about 0 and norm ``-lambda_min``.
     In one dimension the support is a path and ``lambda_min`` comes from the
@@ -624,11 +771,13 @@ def double_commutator_norms(
 
     box = op.box
     sides = _neighbor_slices(box.dimension)
+    start, _, spans = _spans(box, etas)
     solved: dict = {}  # solver input bytes -> lambda_min, for this call only
     norms: list[float] = []
-    for g in _grids(box, etas):
+    for span, g in spans:
         i, j, w = _nonzero_pairs(
-            g.shape, [-op.coupling * (g[a] - g[b]) ** 2 for a, b in sides])
+            box.shape, [o + (s.start or 0) for o, s in zip(start, span)],
+            [-op.coupling * (g[a] - g[b]) ** 2 for a, b in sides])
         if w.size == 0:
             norms.append(0.0)
             continue
@@ -668,7 +817,8 @@ def double_commutator_norms(
 def partition_variation(
     box: LatticeBox, etas: Sequence[np.ndarray]
 ) -> list[float]:
-    """Measured single-step variation ``sup_{|x-y|=1} |eta(x) - eta(y)|`` per bump."""
+    """Measured single-step variation ``sup_{|x-y|=1} |eta(x) - eta(y)|`` per bump,
+    read from the pairs of each function's window (every step outside it is 0)."""
     sides = [s for s, n in zip(_neighbor_slices(box.dimension), box.shape) if n > 1]
-    return [float(np.max([np.abs(g[a] - g[b]).max() for a, b in sides]))
-            for g in _grids(box, etas)]
+    return [float(np.max([np.abs(g[a] - g[b]).max(initial=0.0) for a, b in sides]))
+            for _, g in _spans(box, etas)[2]]

@@ -779,7 +779,11 @@ def ims_general_experiment(
     commutator norm against ``16 d lam / N^(2 delta)``, the quadratic-form
     norm of the potential error against the Taylor scale ``lam^2 (r/N)^3``,
     and the potential floor on the complement region against the last
-    tracked limit energy ``lam e_n``.
+    tracked limit energy ``lam e_n``.  The partition stays on its support
+    windows: each bump on its cube, ``eta_0`` on the bumps' bounding box
+    (see :mod:`lsc.lattice`), and the potential error is taken on each
+    bump's window, so the operator's diagonal is the only box-sized float
+    array.  Every number is bitwise the one the full arrays give.
     """
     gamma = params.gamma
     if not 0.0 < delta_cut < 0.5 * (1.0 - gamma):
@@ -796,39 +800,44 @@ def ims_general_experiment(
     )
     box = LatticeBox.centered(V.dimension, M)
     op = lattice.assemble_HN(V, params, box)
-    etas = lattice.ims_partition(centers, r, box)
+    etas = lattice._ims_windows(centers, r, box)
     identity_residual = lattice.ims_identity_residual(op, etas)
     norms = lattice.double_commutator_norms(op, etas)
     variations = lattice.partition_variation(box, etas)
     d = V.dimension
     bound_patch = 16.0 * d * lam / float(N) ** (2.0 * delta_cut)
-    axes = [np.arange(l, h + 1, dtype=float) for l, h in zip(box.lo, box.hi)]
-    lam2_VN = op.diagonal - d * float(N) ** 2  # the potential part lam^2 V(x/N)
+    diag = op.diagonal.reshape(box.shape)
+    shift = d * float(N) ** 2  # diag - shift is the potential part lam^2 V(x/N)
     rows = []
     for l, center in enumerate(centers):
         well = V.wells[l]
-        # the harmonic model summed axis by axis, each axis term broadcast over
-        # the box from its coordinate vector
-        harm = np.zeros(box.shape)
-        for ax, x in enumerate(axes):
+        bump = etas[l + 1]
+        # the harmonic model on the bump's window, summed axis by axis, each
+        # axis term broadcast from its coordinate vector
+        harm = np.zeros(bump.values.shape)
+        for ax, (lo, a, b) in enumerate(zip(box.lo, bump.start, bump.stop)):
+            x = np.arange(lo + a, lo + b, dtype=float)
             term = (0.5 * float(well.frequencies[ax]) ** 2
                     * ((x - center[ax]) / float(N)) ** 2)
             harm += term.reshape((-1,) + (1,) * (d - 1 - ax))
-        diff = lam2_VN - lam**2 * harm.reshape(box.size)
-        eta = etas[l + 1]
+        diff = (diag[bump.slices] - shift) - lam**2 * harm
+        eta = bump.values
         rows.append(
             ImsPatchRow(
                 center=center,
                 commutator_norm=norms[l + 1],
                 commutator_bound=bound_patch,
                 variation=variations[l + 1],
-                potdiff_norm=float(np.abs(eta * eta * diff).max()),
+                potdiff_norm=float(np.abs(eta * eta * diff).max(initial=0.0)),
                 potdiff_scale=lam**2 * (r / float(N)) ** 3,
             )
         )
+    # eta_0 > 0 outside its window, where it is 1; the shift is monotone under
+    # rounding, so it commutes with the minimum
     eta0 = etas[0]
-    outside = eta0 > 0.0
-    floor_min = float(lam2_VN[outside].min())
+    outside = np.ones(box.shape, dtype=bool)
+    outside[eta0.slices] = eta0.values > 0.0
+    floor_min = float(np.min(diag, where=outside, initial=math.inf) - shift)
     e_top = float(sigma_enumerate(V, n_max + 1).values[-1])
     return ImsReport(
         N=N,

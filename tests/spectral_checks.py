@@ -26,6 +26,13 @@ def multiplicity_clusters(values) -> list[list[int]]:
     return clusters
 
 
+def point_array(box) -> np.ndarray:
+    """All lattice points of ``box`` as an ``(size, d)`` array in index order."""
+    axes = [np.arange(l, h + 1) for l, h in zip(box.lo, box.hi)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(box.size, box.dimension)
+
+
 def traced_peak(fn) -> int:
     """Peak of the memory Python allocates while ``fn()`` runs, in bytes, as
     tracemalloc sees it; tracing stops however ``fn`` ends."""

@@ -48,6 +48,7 @@ from lsc.potentials import ScalingParams, two_well
 from spectral_checks import (
     assert_bracket_encloses,
     multiplicity_clusters,
+    point_array,
     record_dstebz_ranges,
 )
 
@@ -842,7 +843,7 @@ class TestTruncationBracket:
         17..20, a barrier of 10 on 5..17 and 0.5 inside, on the half-width
         ``M`` box with coupling 1."""
         box = LatticeBox.centered(d, M)
-        x = np.abs(box.point_array()).max(axis=1)
+        x = np.abs(point_array(box)).max(axis=1)
         V = np.select([x > 20, x >= 17, x >= 5], [100.0, 0.0, 10.0], 0.5)
         return SymmetricLatticeOperator(box=box, diagonal=2.0 * d + V, coupling=1.0)
 
@@ -901,7 +902,7 @@ class TestTruncationBracket:
     def bowl(hi, seed):
         """A rough quadratic bowl on the box ``0 .. hi`` with coupling 1."""
         box = LatticeBox(lo=(0,) * len(hi), hi=hi)
-        x = box.point_array().astype(float)
+        x = point_array(box).astype(float)
         rough = np.random.default_rng(seed).uniform(0.0, 0.5, box.size)
         diag = 2.0 * len(hi) + 0.3 * ((x - 0.5 * np.array(hi)) ** 2).sum(axis=1) + rough
         return SymmetricLatticeOperator(box=box, diagonal=diag, coupling=1.0)

@@ -1,11 +1,13 @@
-"""The slice-based IMS kernels against gather-based references, bit for bit.
+"""The window-based IMS kernels against gather-based references, bit for bit.
 
-The ``ref_*`` functions below are the index-gather implementations the
-slice kernels replaced: every neighbor-pair quantity is gathered through
+The ``ref_*`` functions below are index-gather implementations on full
+box arrays: every neighbor-pair quantity is gathered through
 ``LatticeBox.neighbor_index_pairs()`` and every commutator block is solved,
 even when an earlier bump gave the same block.  The kernels must return
 exactly the same floats, not merely close ones, and must hand the block
 solvers the same blocks, each distinct one once and in first-seen order.
+That holds for full arrays and for the support windows of
+``lattice._ims_windows``, which ``ims_general_experiment`` passes.
 
 In ``d >= 2`` both solve small blocks densely, and the comparison runs with
 ``eigsh`` replaced by a dense solve for the larger ones, so that it cannot
@@ -34,6 +36,7 @@ from lsc.lattice import (
     ims_remainder,
     partition_variation,
 )
+from spectral_checks import point_array, traced_peak
 
 
 # ----------------------------------------------------------------------
@@ -43,7 +46,7 @@ from lsc.lattice import (
 def ref_partition(centers, inner_radius, box):
     if inner_radius <= 0:
         raise ValueError("inner_radius must be positive")
-    pts = box.point_array()
+    pts = point_array(box)
     etas, masks = [], []
     for c in centers:
         c = np.atleast_1d(np.asarray(c, dtype=float))
@@ -67,7 +70,7 @@ def ref_check_partition(box, etas):
     s2 = np.zeros(box.size)
     for eta in etas:
         s2 += np.asarray(eta, dtype=float) ** 2
-    if np.max(np.abs(s2 - 1.0)) > 1e-12:
+    if not np.max(np.abs(s2 - 1.0)) <= 1e-12:
         raise PartitionNotUnity("squared bumps do not sum to 1 within 1e-12")
 
 
@@ -210,12 +213,12 @@ def solver_log():
         yield log
 
 
-def assert_same_norms(op, etas):
+def assert_same_norms(op, etas, ref_etas=None):
     with solver_log() as log:
         got = double_commutator_norms(op, etas)
         solved = list(log)
         log.clear()
-        want = ref_double_commutator_norms(op, etas)
+        want = ref_double_commutator_norms(op, etas if ref_etas is None else ref_etas)
     assert got == want
     assert solved == list(dict.fromkeys(log))  # each distinct block once, same order
 
@@ -226,35 +229,51 @@ def assert_same(got, want):
         assert g.shape == w.shape and np.array_equal(g, w)
 
 
+def fixed_case(lo, hi, centers, r):
+    box = LatticeBox(lo=lo, hi=hi)
+    diagonal = np.random.default_rng(7).uniform(-5.0, 5.0, box.size)
+    return SymmetricLatticeOperator(box=box, diagonal=diagonal, coupling=1.3), centers, r
+
+
 class TestAgainstGatherReference:
     @given(partition_cases())
     @settings(max_examples=200, deadline=None)
     # two bumps whose supports touch: -7..-1 and 0..6, neighbors at -1 and 0
-    @example((SymmetricLatticeOperator(box=LatticeBox(lo=(-10,), hi=(10,)),
-                                       diagonal=np.ones(21), coupling=1.0),
-              [(-4,), (3,)], 4.0))
+    @example(fixed_case((-10,), (10,), [(-4,), (3,)], 4.0))
+    # off-lattice centers whose windows the box edge clips, in 2-d and 3-d
+    @example(fixed_case((-6, -5), (4, 6), [(-6.5, 0.5), (2.0, 5.5)], 2.5))
+    @example(fixed_case((-3, -3, -3), (3, 2, 3), [(-3.5, 0.0, 2.5), (2.0, -3.0, -2.5)], 1.7))
     def test_partition_kernels(self, case):
         op, centers, r = case
         box = op.box
         try:
             want = ref_partition(centers, r, box)
         except OverlappingSupports:
-            with pytest.raises(OverlappingSupports):
-                ims_partition(centers, r, box)
+            for build in (ims_partition, lattice._ims_windows):
+                with pytest.raises(OverlappingSupports):
+                    build(centers, r, box)
             return
         etas = ims_partition(centers, r, box)
         assert_same(etas, want)
-        assert ims_identity_residual(op, etas) == ref_identity_residual(op, etas)
-        assert_same_norms(op, etas)
-        got, ref = ims_remainder(op, etas), ref_remainder(op, etas)
-        assert got.nnz == ref.nnz
-        assert np.array_equal(got.toarray(), ref.toarray())
-        if box.size > 1:
-            assert partition_variation(box, etas) == ref_partition_variation(box, etas)
-        else:
-            for variation in (partition_variation, ref_partition_variation):
+        windows = lattice._ims_windows(centers, r, box)
+        # each bump window is exactly its support
+        assert all(np.all(w.values > 0.0) for w in windows[1:])
+        assert sum(w.values.size for w in windows[1:]) == sum(
+            np.count_nonzero(eta) for eta in want[1:])
+        for parts in (etas, windows):
+            assert ims_identity_residual(op, parts) == ref_identity_residual(op, want)
+            assert_same_norms(op, parts, want)
+            got, ref = ims_remainder(op, parts), ref_remainder(op, want)
+            assert got.nnz == ref.nnz
+            assert np.array_equal(got.row, ref.row) and np.array_equal(got.col, ref.col)
+            assert np.array_equal(got.data, ref.data)
+            if box.size > 1:
+                assert partition_variation(box, parts) == ref_partition_variation(box, want)
+            else:
                 with pytest.raises(ValueError):
-                    variation(box, etas)
+                    partition_variation(box, parts)
+                with pytest.raises(ValueError):
+                    ref_partition_variation(box, want)
 
     @given(boxes(), st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
     @settings(max_examples=100, deadline=None)
@@ -291,6 +310,54 @@ def test_small_2d_blocks_repeat_bit_for_bit():
     assert first[0] > 0.0
     for _ in range(6):
         assert double_commutator_norms(op, etas) == first
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("c1, c2, shared", [
+    (-4.0, 2.0, True),    # -7..-1 and -1..5 share the site -1
+    (-4.0, 3.0, False),   # -7..-1 and 0..6 are neighbors, no shared site
+    (-3.5, 3.5, True),    # off the lattice: -7..0 and 0..7 share 0
+    (-3.5, 4.5, False),   # -7..0 and 1..8
+])
+def test_supports_sharing_one_site_overlap(d, c1, c2, shared):
+    # radius 4, centers apart along every axis, so the shared set is one site
+    box = LatticeBox.centered(d, 12)
+    centers = [(c1,) * d, (c2,) * d]
+    for build in (ims_partition, lattice._ims_windows, ref_partition):
+        if shared:
+            with pytest.raises(OverlappingSupports):
+                build(centers, 4.0, box)
+        else:
+            build(centers, 4.0, box)
+    # along axis 0 the supports overlap in one site or are neighbors
+    first, second = (np.flatnonzero(ref_partition([c], 4.0, box)[1].reshape(box.shape)
+                                    .any(axis=tuple(range(1, d)))) for c in centers)
+    assert second[0] - first[-1] == (0 if shared else 1)
+
+
+def test_nan_partition_rejected():
+    box = LatticeBox.centered(1, 6)
+    op = SymmetricLatticeOperator(box=box, diagonal=np.ones(box.size), coupling=1.0)
+    for kernel in (ims_remainder, ims_identity_residual):
+        with pytest.raises(PartitionNotUnity):
+            kernel(op, [np.full(box.size, np.nan)])
+
+
+def test_nan_radius_and_nonfinite_centers_rejected():
+    box = LatticeBox.centered(2, 6)
+    with pytest.raises(ValueError, match="inner_radius"):
+        ims_partition([(0, 0)], float("nan"), box)
+    for c in ((0.0, float("nan")), (float("inf"), 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ims_partition([c], 3.0, box)
+
+
+def test_2d_experiment_memory_stays_on_the_windows():
+    # a 365^2 box; each bump lives on about 37^2 points and eta_0 differs from 1
+    # only on the wells' bounding box, 167^2 points
+    V = potentials.double_well_nd(2)
+    params = potentials.ScalingParams(N=64, gamma=0.0, omega=1.0)
+    assert traced_peak(lambda: semiclassics.ims_general_experiment(V, params, 0.2)) <= 6e6
 
 
 def test_partition_not_unity_rejected_in_2d():

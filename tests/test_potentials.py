@@ -21,7 +21,7 @@ from lsc.potentials import (
     two_well,
     validate_assumptions,
 )
-from spectral_checks import traced_peak
+from spectral_checks import point_array, traced_peak
 
 
 def quartic_no_well():
@@ -276,7 +276,7 @@ class TestValidation:
 
 def whole_box_sample(V, N, box):
     """``sample_on_lattice`` as one evaluation of the whole point array."""
-    pts = box.point_array().astype(float)
+    pts = point_array(box).astype(float)
     return np.asarray(V.evaluator(pts / float(N)), dtype=float).reshape(box.size)
 
 
@@ -351,7 +351,7 @@ class TestPointBlocks:
         blocks = list(potentials._point_blocks(axes))
         assert [b.shape[0] for b in blocks] == [per_block] * full + [rest] * (rest > 0)
         assert len(blocks) > 1
-        np.testing.assert_array_equal(np.concatenate(blocks), box.point_array())
+        np.testing.assert_array_equal(np.concatenate(blocks), point_array(box))
 
 
 class TestBlockedSampling:
