@@ -533,6 +533,12 @@ def _reject_unread(route: str, **given) -> None:
             raise ValueError(f"{_flag_name(key)} is not read by spectrum {route}")
 
 
+def _no_dump_on_doubling(cfg: RunConfig) -> None:
+    if cfg.dump_matrix_path:
+        raise ValueError("--dump-matrix needs --M: the box-doubling route "
+                         "builds no single matrix to dump")
+
+
 def cmd_spectrum(cfg: RunConfig) -> _Output:
     k = _default(cfg.k, 6)
     if cfg.potential == "free":
@@ -545,9 +551,12 @@ def cmd_spectrum(cfg: RunConfig) -> _Output:
         _reject_unread("--kappa", potential=cfg.potential, omega=cfg.omega,
                        wells=cfg.wells, gamma=cfg.gammas, N=cfg.Ns)
         kappa = _single(cfg.kappas, None, "kappa")
-        M = _default(cfg.M, hermite.box_halfwidth(k - 1, kappa))
-        op = lattice.assemble_Hkappa(kappa, LatticeBox.centered(1, M))
-        values = eigensolve.eigs_tridiag(op, k).values
+        if cfg.M is not None:
+            op = lattice.assemble_Hkappa(kappa, LatticeBox.centered(1, cfg.M))
+            values = eigensolve.eigs_tridiag(op, k).values
+        else:
+            _no_dump_on_doubling(cfg)
+            values = semiclassics.harmonic_levels(kappa, k).values
     else:
         V = _resolve_potential(cfg)
         params = potentials.ScalingParams(
@@ -558,10 +567,8 @@ def cmd_spectrum(cfg: RunConfig) -> _Output:
             op = lattice.assemble_HN(V, params, LatticeBox.centered(V.dimension, cfg.M))
             solve = eigensolve.eigs_tridiag if V.dimension == 1 else eigensolve.eigs_sparse
             values = solve(op, k).values
-        elif cfg.dump_matrix_path:
-            raise ValueError("--dump-matrix needs --M: the box-doubling route "
-                             "builds no single matrix to dump")
         else:
+            _no_dump_on_doubling(cfg)
             values = semiclassics.levels_HN(V, params, k)
     if cfg.dump_matrix_path:
         dump_matrix(cfg.dump_matrix_path, op)
@@ -639,6 +646,10 @@ def cmd_regimes(cfg: RunConfig) -> _Output:
     Ns = _default(cfg.Ns, [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
     n_max = _default(cfg.nmax, 2)
     omega = _single(cfg.omega, 1.0, "omega")
+    if n_max == 0 and all(g < -1.0 for g in gammas):
+        raise ValueError("--nmax 0 leaves no slope to judge: below the kink (--gamma "
+                         "< -1) the ground level's slope is not judged; raise --nmax "
+                         "or add a --gamma at or above -1")
     sweep = semiclassics.regime_sweep(omega, gammas, Ns, n_max)
     rows = [(r.gamma, r.n, r.slope_fit, r.slope_pred, r.limit_const_fit,
              r.limit_const_pred) for r in sweep.rows]

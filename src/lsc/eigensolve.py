@@ -681,7 +681,9 @@ def converged_spectrum(
       :func:`eigs_sparse`.
 
     Both counts are skipped when ``cur_k - tol_k`` already reaches the
-    floor, since the conditions cannot then hold.  Any other outcome doubles
+    floor, since the conditions cannot then hold.  A box of fewer than ``k``
+    points (``k + 2`` in ``d >= 2``, where the candidate search needs two
+    more) is not solved and stays uncertified.  Any other outcome doubles
     ``M``; after ``MAX_DOUBLINGS`` doublings, or where the doubled box would
     hold more than ``MAX_BOX_POINTS`` points (``(4 M + 1)^d``), it raises
     :class:`BoxTooSmall`.  The start box is always solved, however large.
@@ -692,10 +694,11 @@ def converged_spectrum(
             M *= 2
         op = assemble(M)
         d = op.box.dimension
-        bracket = _bracket_tridiag if d == 1 else _bracket_sparse
-        certified = bracket(op, k, outside_floor(M))
-        if certified is not None:
-            return certified
+        if op.size >= (k if d == 1 else k + 2):
+            bracket = _bracket_tridiag if d == 1 else _bracket_sparse
+            certified = bracket(op, k, outside_floor(M))
+            if certified is not None:
+                return certified
         doubled = (4 * M + 1) ** d
         if doubling < MAX_DOUBLINGS and doubled > MAX_BOX_POINTS:
             raise BoxTooSmall(

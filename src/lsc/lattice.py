@@ -20,8 +20,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -467,16 +467,17 @@ def beta_rate_bound(n: int, kappa0: float) -> float:
 
 # The partition functions are kept as windows: each one's values on a sub-box
 # of the lattice box, and a constant fill (0 or 1) outside it.  ``lsc ims``
-# keeps every bump on its support cube and eta_0 on the bumps' bounding box;
-# a full array is the window over the whole box.  One implementation of each
-# kernel serves both forms.  The kernels touch only the points and neighbor
-# pairs of the windows: elsewhere every function equals its exact fill, so
-# each residual, commutator entry and variation there is exactly 0.  Local C
-# order within a window maps monotonically to box order, so every pair list
-# and commutator block comes out in the order of the full arrays.
+# keeps every bump on its support cube grown by one site, a ring of exact
+# zeros, and eta_0 on the bumps' bounding box, on whose boundary eta_0 is
+# exactly 1; a full array is the window over the whole box.  So every window
+# holds every neighbor pair at which its function changes, and one
+# implementation of each kernel serves both forms with no padding: elsewhere
+# every function equals its exact fill, so each residual, commutator entry
+# and variation there is exactly 0.  Local C order within a window maps
+# monotonically to box order, so every pair list and commutator block comes
+# out in the order of the full arrays.
 
-@dataclass(eq=False)
-class _Window:
+class _Window(NamedTuple):
     """A partition function: ``values`` on the sub-box whose offsets from
     ``box.lo`` run from ``start`` up to ``stop = start + values.shape``, and
     ``fill`` everywhere else.  An empty window has ``start`` 0 and no values.
@@ -485,10 +486,10 @@ class _Window:
     start: tuple[int, ...]
     values: np.ndarray
     fill: float
-    stop: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        self.stop = tuple(map(operator.add, self.start, self.values.shape))
+    @property
+    def stop(self) -> tuple[int, ...]:
+        return tuple(map(operator.add, self.start, self.values.shape))
 
     @property
     def slices(self) -> tuple[slice, ...]:
@@ -505,27 +506,14 @@ def _minus(a, b) -> tuple[int, ...]:
     return tuple(map(operator.sub, a, b))
 
 
-def _hull(windows: Sequence[_Window], shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(start, stop)`` of the nonempty windows' bounding box grown by one
-    site per side and clipped to ``shape``; empty at the origin if none."""
+def _hull(windows: Sequence[_Window], d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(start, stop)`` of the nonempty windows' bounding box; empty at the
+    origin if there is none."""
     live = [w for w in windows if w.values.size]
     if not live:
-        return (0,) * len(shape), (0,) * len(shape)
-    starts, stops = zip(*((w.start, w.stop) for w in live))
-    return (tuple(max(min(a) - 1, 0) for a in zip(*starts)),
-            tuple(min(max(b) + 1, n) for b, n in zip(zip(*stops), shape)))
-
-
-def _on(w: _Window, start, stop) -> np.ndarray:
-    """The values of ``w`` on the sub-box ``[start, stop)``."""
-    if w.start == start and w.stop == stop:
-        return w.values
-    out = np.full(_minus(stop, start), w.fill)
-    lo, hi = tuple(map(max, w.start, start)), tuple(map(min, w.stop, stop))
-    if all(l < h for l, h in zip(lo, hi)):
-        out[_block(_minus(lo, start), _minus(hi, lo))] = \
-            w.values[_block(_minus(lo, w.start), _minus(hi, lo))]
-    return out
+        return (0,) * d, (0,) * d
+    return (tuple(map(min, zip(*(w.start for w in live)))),
+            tuple(map(max, zip(*(w.stop for w in live)))))
 
 
 def _positive_range(c: float, r: float, lo: int, hi: int) -> tuple[int, int]:
@@ -551,43 +539,49 @@ def _ims_windows(
 ) -> list[_Window]:
     """The partition of :func:`ims_partition`, ``eta_0`` first, as windows.
 
-    Bump ``l`` is kept on the lattice cube ``|x - c_l|_inf < r`` clipped to
-    the box, which is exactly where it is positive, so two supports share a
-    point exactly when their windows intersect on every axis.  ``eta_0`` is
-    kept on the bounding box of the bump windows grown by one site and
-    clipped to the box; it is 1 outside.  Every value comes from the same
-    floating-point operations as on the whole box.
+    Bump ``l`` is positive exactly on the lattice cube ``|x - c_l|_inf < r``
+    clipped to the box, its support, and is kept on that cube grown by one
+    site and clipped to the box: its expression is exactly 0 on the ring.
+    Two supports share a point exactly when their ranges intersect on every
+    axis.  ``eta_0`` is kept on the bounding box of the bump windows; it is
+    1 outside.  Every value comes from the same floating-point operations as
+    on the whole box.
     """
     if not inner_radius > 0:  # also rejects NaN
         raise ValueError("inner_radius must be positive")
     d = box.dimension
     bumps: list[_Window] = []
+    supports = []  # per bump, the support's first and last site per axis
     for c in centers:
         c = np.atleast_1d(np.asarray(c, dtype=float))
         if c.size != d:
             raise ValueError("partition center dimension mismatch")
-        start, dists = [], []
+        support, start, dists = [], [], []
         for ax, (cx, l, h) in enumerate(zip(c, box.lo, box.hi)):
             if not math.isfinite(cx):
                 raise ValueError("partition centers must be finite")
             a, b = _positive_range(float(cx), inner_radius, l, h)
+            support.append((a, b))
+            # the support grown by one site and clipped to the box; this axis's
+            # distances, shaped to broadcast along the later axes
+            a, b = max(a - 1, l), min(b + 1, h)
             start.append(a - l)
-            # this axis's distances, shaped to broadcast along the later axes
             dist = np.abs(np.arange(a, b + 1) - cx)
             dists.append(dist.reshape((-1,) + (1,) * (d - 1 - ax)))
-        if all(x.size for x in dists):
+        if all(a <= b for a, b in support):
             # |x - c|_inf as the broadcast maximum of the per-axis distances
             dist = functools.reduce(np.maximum, dists)
             bump = _Window(tuple(start),
                            np.clip(2.0 - 2.0 * dist / inner_radius, 0.0, 1.0), 0.0)
         else:
             bump = _Window((0,) * d, np.zeros((0,) * d), 0.0)
-        for other in bumps:
-            if all(max(a1, a2) < min(b1, b2) for a1, a2, b1, b2
-                   in zip(bump.start, other.start, bump.stop, other.stop)):
+        for other in supports:
+            if all(max(a1, a2) <= min(b1, b2)
+                   for (a1, b1), (a2, b2) in zip(support, other)):
                 raise OverlappingSupports("two bump supports intersect")
         bumps.append(bump)
-    lo, hi = _hull(bumps, box.shape)
+        supports.append(support)
+    lo, hi = _hull(bumps, d)
     s2 = np.zeros(_minus(hi, lo))
     for w in bumps:
         if w.values.size:
@@ -623,27 +617,23 @@ def _spans(
     """The kernels' region and each function's span within it.
 
     ``etas`` holds either full arrays on the box, each a window over the
-    whole box, or windows.  The region is the windows' bounding box grown by one site:
-    outside it, every function equals its fill at both ends of every
-    neighbor pair.  Each window spans itself grown by one site, beyond
-    which its pair terms are those of its fill: they vanish for fill 0, and
-    a window with fill 1 contains the others, so it spans the region.
-    Returns the region's start and shape and, per function, its span as
-    slices of the region with the function's values on the span.  A
-    region-shaped array ``acc`` then holds the pairs along an axis of a
-    span at ``acc[span][a]``, with ``(a, b)`` that axis's neighbor slices.
+    whole box, or windows.  The region is the windows' bounding box, and each
+    function spans its window: every neighbor pair at which a function
+    changes lies in its window, and a window with fill 1 contains the others,
+    so it spans the region.  Returns the region's start and shape and, per
+    function, its span as slices of the region with the function's values on
+    the span.  A region-shaped array ``acc`` then holds the pairs along an
+    axis of a span at ``acc[span][a]``, with ``(a, b)`` that axis's neighbor
+    slices.
     """
     d = box.dimension
     if not (etas and isinstance(etas[0], _Window)):  # all spans are the box
         return (0,) * d, box.shape, [
             ((slice(None),) * d, np.asarray(eta, dtype=float).reshape(box.shape))
             for eta in etas]
-    start, stop = _hull(etas, box.shape)
-    spans = []
-    for w in etas:
-        lo, hi = _hull([w], box.shape) if w.values.size else (start, start)
-        spans.append((_block(_minus(lo, start), _minus(hi, lo)), _on(w, lo, hi)))
-    return start, _minus(stop, start), spans
+    start, stop = _hull(etas, d)
+    return start, _minus(stop, start), [
+        (_block(_minus(w.start, start), w.values.shape), w.values) for w in etas]
 
 
 def _check_partition(shape: tuple[int, ...], spans) -> np.ndarray:
@@ -771,13 +761,15 @@ def double_commutator_norms(
 
     box = op.box
     sides = _neighbor_slices(box.dimension)
-    start, _, spans = _spans(box, etas)
+    if not (etas and isinstance(etas[0], _Window)):  # full arrays: whole-box windows
+        etas = [_Window((0,) * box.dimension,
+                        np.asarray(eta, dtype=float).reshape(box.shape), 0.0)
+                for eta in etas]
     solved: dict = {}  # solver input bytes -> lambda_min, for this call only
     norms: list[float] = []
-    for span, g in spans:
+    for start, g, _ in etas:
         i, j, w = _nonzero_pairs(
-            box.shape, [o + (s.start or 0) for o, s in zip(start, span)],
-            [-op.coupling * (g[a] - g[b]) ** 2 for a, b in sides])
+            box.shape, start, [-op.coupling * (g[a] - g[b]) ** 2 for a, b in sides])
         if w.size == 0:
             norms.append(0.0)
             continue

@@ -579,14 +579,12 @@ class IntervalLowerBoundReport:
 def _capped_test_function(
     n: int, kappa: float, beta: float, xs: np.ndarray, x_delta: int
 ) -> np.ndarray:
-    """Certificate on an unbounded piece: |quasimode| frozen past the spike."""
+    """Certificate on an unbounded piece: |quasimode| frozen past the spike.
+
+    ``Psi_n(-y) = (-1)^n Psi_n(y)`` exactly, so one cap serves both sides."""
     u = np.abs(hermite.weighted_eval(n, beta * kappa * xs.astype(float)))
-    if xs[0] >= 0:
-        cap = float(np.abs(hermite.weighted_eval(n, beta * kappa * float(x_delta))))
-        u[xs > x_delta] = cap
-    else:
-        cap = float(np.abs(hermite.weighted_eval(n, -beta * kappa * float(x_delta))))
-        u[xs < -x_delta] = cap
+    cap = float(np.abs(hermite.weighted_eval(n, beta * kappa * float(x_delta))))
+    u[np.abs(xs) > x_delta] = cap
     return u
 
 
@@ -780,10 +778,11 @@ def ims_general_experiment(
     norm of the potential error against the Taylor scale ``lam^2 (r/N)^3``,
     and the potential floor on the complement region against the last
     tracked limit energy ``lam e_n``.  The partition stays on its support
-    windows: each bump on its cube, ``eta_0`` on the bumps' bounding box
-    (see :mod:`lsc.lattice`), and the potential error is taken on each
-    bump's window, so the operator's diagonal is the only box-sized float
-    array.  Every number is bitwise the one the full arrays give.
+    windows: each bump on its cube grown by one site, ``eta_0`` on the
+    bumps' bounding box (see :mod:`lsc.lattice`), and the potential error is
+    taken on each bump's window, where the ring adds only zeros, so the
+    operator's diagonal is the only box-sized float array.  Every number is
+    bitwise the one the full arrays give.
     """
     gamma = params.gamma
     if not 0.0 < delta_cut < 0.5 * (1.0 - gamma):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsc import cli, eigensolve, hermite, lattice
+from lsc import cli, eigensolve, hermite, lattice, semiclassics
 from lsc.lattice import LatticeBox, SymmetricLatticeOperator, assemble_HN, assemble_Hkappa
 from lsc.potentials import (
     Potential,
@@ -409,6 +409,20 @@ class TestSpectrumCommand:
         assert "k=5 out of range for size 3" in capsys.readouterr().err
         assert not (tmp_path / "spec.csv").exists()
 
+    @pytest.mark.parametrize("argv, count", [
+        ("spectrum --kappa 0.9 --k 41", 41),
+        ("spectrum --potential double_well --N 4 --k 200", 200),
+        ("spectrum --potential double_well_2d --N 4 --k 200", 200),
+        ("kappa --kappa 0.9 --nmax 40", 41),
+    ])
+    def test_k_above_the_start_box_doubles(self, tmp_path, argv, count):
+        # the start box holds fewer points than the levels asked for (39 of 41,
+        # 89 of 200); it is left uncertified and doubled, not refused as bad
+        # configuration (spectrum --kappa takes the certified route without --M)
+        assert run(argv.split(), tmp_path, out="o.csv") == cli.EXIT_OK
+        _, rows = read_rows(tmp_path / "o.csv")
+        assert len(rows) == count
+
     def test_seventeen_digit_serialization(self, tmp_path):
         run(["spectrum", "--potential", "free", "--M", "1", "--k", "1"],
             tmp_path, out="spec.csv")
@@ -713,6 +727,18 @@ class TestExitCodes:
         assert "needs omega > 0" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_regimes_with_no_judged_slope_is_config_error(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # below the kink the ground level's slope is not judged, so --nmax 0
+        # leaves no row to judge; rejected before any solve
+        monkeypatch.setattr(semiclassics, "regime_sweep", None)
+        code = run(["regimes", "--gamma=-2,-1.5", "--N", "8,16,32", "--nmax", "0"],
+                   tmp_path, out="r.csv")
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--nmax 0" in err and "--gamma" in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_out_of_memory_is_solver_error(self, tmp_path, monkeypatch, capsys):
         def too_big(cfg):
             raise MemoryError("dense assembly refused for size 9000")
@@ -776,14 +802,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("solver failure: ")
 
     def test_dump_matrix_on_the_doubling_route_is_config_error(self, tmp_path, capsys):
-        # the box-doubling route builds no single matrix, so the dump is
-        # refused before any solve instead of being skipped in silence
-        code = run(["spectrum", "--potential", "double_well"], tmp_path,
-                   dump_matrix="m.txt", out="s.csv")
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "--dump-matrix" in err and "--M" in err
-        assert not (tmp_path / "m.txt").exists() and not (tmp_path / "s.csv").exists()
+        # the box-doubling routes (H_N, and H_kappa without --M) build no single
+        # matrix, so the dump is refused before any solve instead of being
+        # skipped in silence
+        for route in ("--potential double_well", "--kappa 0.1"):
+            code = run(["spectrum", *route.split()], tmp_path, dump_matrix="m.txt",
+                       out="s.csv")
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "--dump-matrix" in err and "--M" in err
+            assert not (tmp_path / "m.txt").exists() and not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "spectrum"])
     def test_dump_matrix_off_spectrum_is_config_error(self, tmp_path, capsys,

@@ -782,6 +782,23 @@ class TestConvergedSpectrum:
         with pytest.raises(BoxTooSmall, match="after 14 doublings"):
             converged_spectrum(assemble, 4, 1, lambda M: 0.0)
 
+    @pytest.mark.parametrize("d, k, M0, certified_at", [(1, 41, 19, 38), (2, 30, 2, 16)])
+    def test_start_box_below_k_levels_doubles(self, d, k, M0, certified_at):
+        # 39 points for 41 levels, or 25 for 30 in 2-d (which needs k + 2): the
+        # start box is left uncertified and doubled, not refused
+        kappa = 0.9
+
+        def assemble(M):
+            box = LatticeBox.centered(d, M)
+            x = np.indices(box.shape).reshape(d, -1).T - M
+            return SymmetricLatticeOperator(
+                box=box, diagonal=2.0 * d + kappa**4 * (x * x).sum(axis=1), coupling=1.0)
+
+        res = converged_spectrum(assemble, M0, k, lambda M: kappa**4 * (M + 1) ** 2)
+        assert res.box == LatticeBox.centered(d, certified_at)
+        want = np.linalg.eigvalsh(assemble(80 if d == 1 else 30).dense())[:k]
+        assert np.all(np.abs(res.values - want) <= res.truncation_width)
+
 
 class TestTruncationBracket:
     @pytest.mark.parametrize("kappa", [0.2, 0.05])

@@ -256,10 +256,21 @@ class TestAgainstGatherReference:
         etas = ims_partition(centers, r, box)
         assert_same(etas, want)
         windows = lattice._ims_windows(centers, r, box)
-        # each bump window is exactly its support
-        assert all(np.all(w.values > 0.0) for w in windows[1:])
-        assert sum(w.values.size for w in windows[1:]) == sum(
-            np.count_nonzero(eta) for eta in want[1:])
+        # each bump window is its support grown by one site and clipped to the
+        # box, and its boundary values inside the box (eta_0's too) equal its fill
+        for w, eta in zip(windows[1:], want[1:]):
+            support = np.nonzero(eta.reshape(box.shape))
+            if support[0].size:
+                assert w.slices == tuple(
+                    slice(max(int(s.min()) - 1, 0), min(int(s.max()) + 2, n))
+                    for s, n in zip(support, box.shape))
+            else:
+                assert w.values.size == 0
+        for w in windows:
+            for ax, (a, b, n) in enumerate(zip(w.start, w.stop, box.shape)):
+                for face, inside in ((0, a > 0), (-1, b < n)):
+                    if inside and w.values.size:
+                        assert np.all(np.take(w.values, face, axis=ax) == w.fill)
         for parts in (etas, windows):
             assert ims_identity_residual(op, parts) == ref_identity_residual(op, want)
             assert_same_norms(op, parts, want)
