@@ -7,9 +7,10 @@ name; any flag given on the command line overrides the file.  A flag or
 key that the subcommand does not read, or that names no flag, is invalid
 configuration, rejected before any work.  Each handler returns its CSV
 header and rows, exit code and measured constants, and ``main`` writes
-the CSV and the ``--json`` summary.  Numeric CSV fields are written with
-17 significant digits, and grids are solved in grid order, so identical
-configs produce byte-identical output.
+the CSV and the ``--json`` summary.  CSV rows go through ``csv.writer``
+(default dialect), numeric fields with 17 significant digits; the big
+``sigma`` table is laid out from arrays with the same bytes.  Grids are
+solved in grid order, so identical configs produce byte-identical output.
 
 Exit codes: 0 success, 2 invalid configuration, 3 assumption validation
 failed, 4 solver non-convergence, 5 an experiment assertion failed (for
@@ -19,14 +20,13 @@ example a negative certificate or a broken cover identity).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -53,23 +53,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-_NUMBER_FORMATS = {float: "{:.17g}".format, int: str}
-_CSV_SPECIALS = (",", '"', "\r", "\n")
-_CSV_CHUNK_LINES = 4096  # lines joined per write, which bounds the text held at once
-_DUMP_BLOCK_ROWS = 16_384  # diagonal entries or neighbor pairs per dump write, likewise
-
-
-def _fmt_column(column: list, lone: bool):
-    kinds = set(map(type, column))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind in _NUMBER_FORMATS:
-        return map(_NUMBER_FORMATS[kind], column)
-    cells = column if kind is str else list(map(_fmt, column))
-    if lone or any(map("".join(cells).__contains__, _CSV_SPECIALS)):
-        # a lone empty field is quoted too, so that its line is not blank
-        cells = ['"' + c.replace('"', '""') + '"' if (lone and not c)
-                 or any(ch in c for ch in _CSV_SPECIALS) else c for c in cells]
-    return cells
+# diagonal entries or neighbor pairs per dump write, which bounds the text held at once
+_DUMP_BLOCK_ROWS = 16_384
 
 
 def _int_field(values: np.ndarray) -> np.ndarray:
@@ -215,7 +200,7 @@ def _text_field(text: bytes, rows: int) -> np.ndarray:
     return np.broadcast_to(np.frombuffer(text, dtype=np.uint8), (rows, len(text)))
 
 
-_CSV_SPECIAL_BYTES = tuple(c.encode() for c in _CSV_SPECIALS)
+_CSV_SPECIAL_BYTES = (b",", b'"', b"\r", b"\n")
 
 
 def _table_text(table: np.ndarray) -> str | None:
@@ -248,32 +233,26 @@ def _table_text(table: np.ndarray) -> str | None:
 
 
 def write_csv(path: str, header: list[str], rows: list[tuple] | np.ndarray) -> None:
-    """Write ``header`` and equal-width ``rows`` byte for byte as ``csv.writer`` does.
+    """Write ``header`` and equal-width ``rows`` through ``csv.writer`` (default
+    dialect), each cell as ``_fmt`` writes it.
 
     ``rows`` is a list of tuples or a NumPy structured array, one field per
     column, which is written as its ``tolist()`` rows would be; a bytes field
     holds ASCII text, and its NUL bytes are padding wherever they sit.  A
     structured array of bool, int, float and unquoted bytes fields is laid out
     as NUL-padded byte rows (each distinct float formatted once), and the
-    padding is dropped in one pass.  Otherwise a column of plain floats or plain
-    ints is formatted by one ``map``, and any other is scanned once and quoted
-    as under ``csv.QUOTE_MINIMAL``.  Lines end in ``\r\n``."""
+    padding is dropped in one pass, with the same bytes."""
     body = _table_text(rows) if isinstance(rows, np.ndarray) else None
     if body is None and isinstance(rows, np.ndarray):
         rows = [tuple(v.replace(b"\0", b"").decode("ascii") if isinstance(v, bytes)
                       else v for v in row) for row in rows.tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(_fmt_column(header, len(header) == 1)) + "\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
         if body is not None:
             fh.write(body)
             return
-        # itemgetter per column rather than zip(*rows), which makes one iterator per row
-        width = len(rows[0]) if rows else 0
-        columns = [_fmt_column(list(map(itemgetter(i), rows)), width == 1)
-                   for i in range(width)]
-        lines = map(",".join, zip(*columns))
-        while chunk := list(islice(lines, _CSV_CHUNK_LINES)):
-            fh.write("\r\n".join(chunk) + "\r\n")
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 def write_json(path: str, payload: dict) -> None:
@@ -611,13 +590,10 @@ def cmd_kappa(cfg: RunConfig) -> _Output:
     study = semiclassics.harmonic_kappa_study(kappas, n_max)
     rows = [(r.kappa, r.n, r.energy, r.ratio, r.target, r.abs_err)
             for r in study.rows]
-    decreasing = all(
-        all(d2 < d1 for d1, d2 in zip(study.deviations(n), study.deviations(n)[1:]))
-        for n in range(n_max + 1)
-    )
     orders = {str(n): study.deviation_orders[n] for n in range(n_max + 1)}
     return (["kappa", "n", "E_n", "ratio", "target", "abs_err"], rows,
-            EXIT_OK if decreasing else EXIT_ASSERTION, {"deviation_orders": orders})
+            EXIT_OK if all(study.errors_decreasing.values()) else EXIT_ASSERTION,
+            {"deviation_orders": orders})
 
 
 def cmd_converge(cfg: RunConfig) -> _Output:

@@ -127,6 +127,8 @@ def box_halfwidth(n: int, kappa: float) -> int:
 
 def tail_mass(n: int, kappa: float, start: int) -> float:
     """Sum of ``Psi_n(kappa x)^2`` over ``|x| >= start`` (both tails)."""
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     total = 0.0
     x = abs(int(start))
     chunk = 256
@@ -148,8 +150,8 @@ def quasimode_apply(n: int, kappa: float, box: LatticeBox):
     neighbor values just outside the box.  Raises :class:`BoxTooSmall` when
     the mass of the quasimode outside the box exceeds ``1e-12`` of its norm.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     if box.dimension != 1:
         raise ValueError("quasimode residual assembly is one-dimensional")
     lo, hi = box.lo[0], box.hi[0]
@@ -222,8 +224,8 @@ def residual_integral(n: int, kappa: float, x: int) -> float:
     ``-R`` reproduces the stencil residual of :func:`quasimode_apply` to
     quadrature accuracy.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     y = kappa * float(x)
 
     def integrand(t):
@@ -242,6 +244,8 @@ def gram_entry(n: int, m: int, kappa: float, box: LatticeBox) -> float:
     stay bounded as ``kappa`` shrinks.  Raises :class:`BoxTooSmall` when
     the neglected tail is not below ``1e-14`` of the result scale.
     """
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     if box.dimension != 1:
         raise ValueError("gram sums are one-dimensional")
     xs = box.coords().astype(float)

@@ -157,8 +157,9 @@ class SymmetricLatticeOperator:
     def __post_init__(self):
         diag = np.asarray(self.diagonal, dtype=float).reshape(self.box.size)
         object.__setattr__(self, "diagonal", diag)
-        if self.coupling < 0:
-            raise ValueError("coupling must be nonnegative (Laplace-type sign)")
+        if not self.coupling >= 0:
+            raise ValueError(
+                f"coupling must be nonnegative (Laplace-type sign), got {self.coupling}")
 
     @property
     def size(self) -> int:
@@ -239,8 +240,8 @@ def assemble_laplacian(box: LatticeBox) -> SymmetricLatticeOperator:
 
 def assemble_Hkappa(kappa: float, box: LatticeBox) -> SymmetricLatticeOperator:
     """One-dimensional quadratic-well operator ``Delta + kappa^4 x^2``."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     if box.dimension != 1:
         raise ValueError("this reduced operator is one-dimensional")
     x = box.coords().astype(float)
@@ -629,7 +630,7 @@ def _spans(
     d = box.dimension
     if not (etas and isinstance(etas[0], _Window)):  # all spans are the box
         return (0,) * d, box.shape, [
-            ((slice(None),) * d, np.asarray(eta, dtype=float).reshape(box.shape))
+            (_block((0,) * d, box.shape), np.asarray(eta, dtype=float).reshape(box.shape))
             for eta in etas]
     start, stop = _hull(etas, d)
     return start, _minus(stop, start), [
@@ -761,13 +762,11 @@ def double_commutator_norms(
 
     box = op.box
     sides = _neighbor_slices(box.dimension)
-    if not (etas and isinstance(etas[0], _Window)):  # full arrays: whole-box windows
-        etas = [_Window((0,) * box.dimension,
-                        np.asarray(eta, dtype=float).reshape(box.shape), 0.0)
-                for eta in etas]
+    region, _, spans = _spans(box, etas)
     solved: dict = {}  # solver input bytes -> lambda_min, for this call only
     norms: list[float] = []
-    for start, g, _ in etas:
+    for span, g in spans:
+        start = [r + s.start for r, s in zip(region, span)]
         i, j, w = _nonzero_pairs(
             box.shape, start, [-op.coupling * (g[a] - g[b]) ** 2 for a, b in sides])
         if w.size == 0:

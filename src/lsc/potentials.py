@@ -68,8 +68,9 @@ class Well:
         freqs = np.atleast_1d(np.asarray(self.frequencies, dtype=float))
         object.__setattr__(self, "location", loc)
         object.__setattr__(self, "frequencies", freqs)
-        if np.any(freqs <= 0):
-            raise ValueError("well frequencies must be strictly positive")
+        if not np.all((freqs > 0) & (freqs < math.inf)):
+            raise ValueError(
+                f"well frequencies must be finite and strictly positive, got {freqs}")
         if np.any(np.diff(freqs) < 0):
             raise ValueError("well frequencies must be sorted ascending")
         if freqs.shape != loc.shape:
@@ -429,8 +430,8 @@ class ScalingParams:
 def harmonic(omega: float | Sequence[float]) -> Potential:
     """Anisotropic harmonic potential ``V(x) = (omega_1^2 x_1^2 + ... ) / 2``."""
     om = np.atleast_1d(np.asarray(omega, dtype=float))
-    if np.any(om <= 0):
-        raise ValueError("harmonic frequencies must be positive")
+    if not np.all((om > 0) & (om < math.inf)):
+        raise ValueError(f"harmonic frequencies must be finite and positive, got {om}")
     d = om.size
 
     def evaluator(pts: np.ndarray, _om=om) -> np.ndarray:
@@ -510,8 +511,9 @@ def two_well(omega: float = 1.0, separation: float = 2.0, d: int = 1) -> Potenti
     ``omega^2 I`` at each well (the blending error is quartic in the
     distance to the well), and grows quadratically at infinity.
     """
-    if omega <= 0 or separation <= 0:
-        raise ValueError("omega and separation must be positive")
+    if not (0 < omega < math.inf and 0 < separation < math.inf):
+        raise ValueError(f"omega and separation must be finite and positive, "
+                         f"got {omega} and {separation}")
     a = np.zeros(d)
     a[0] = separation / 2.0
 

@@ -197,6 +197,7 @@ class KappaRow:
 class KappaStudy:
     rows: tuple[KappaRow, ...]
     deviation_orders: dict
+    errors_decreasing: dict
 
     def deviations(self, n: int) -> list[float]:
         return [r.abs_err for r in self.rows if r.n == n]
@@ -230,15 +231,24 @@ def harmonic_kappa_study(kappa_list: Sequence[float], n_max: int) -> KappaStudy:
                     abs_err=abs(e / k**2 - target),
                 )
             )
+    decreasing, orders = _ladder_fits(
+        rows, n_max, [math.log(k1 / k2) for k1, k2 in zip(kappas, kappas[1:])])
+    return KappaStudy(rows=tuple(rows), deviation_orders=orders,
+                      errors_decreasing=decreasing)
+
+
+def _ladder_fits(rows, n_max: int, log_steps: Sequence[float]) -> tuple[dict, dict]:
+    """Per level ``n``, down a ladder of ``rows``: whether ``abs_err`` strictly
+    decreases, and each step's fitted order ``log(e1 / e2) / log_step`` where both
+    errors are positive, ``log_step`` being that step's log ratio of ladder values."""
+    decreasing: dict[int, bool] = {}
     orders: dict[int, list[float]] = {}
     for n in range(n_max + 1):
-        devs = [r.abs_err for r in rows if r.n == n]
-        fits = []
-        for (k1, d1), (k2, d2) in zip(zip(kappas, devs), zip(kappas[1:], devs[1:])):
-            if d1 > 0 and d2 > 0:
-                fits.append(math.log(d1 / d2) / math.log(k1 / k2))
-        orders[n] = fits
-    return KappaStudy(rows=tuple(rows), deviation_orders=orders)
+        errs = [r.abs_err for r in rows if r.n == n]
+        decreasing[n] = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+        orders[n] = [math.log(e1 / e2) / step for e1, e2, step
+                     in zip(errs, errs[1:], log_steps) if e1 > 0 and e2 > 0]
+    return decreasing, orders
 
 
 # ----------------------------------------------------------------------
@@ -373,16 +383,8 @@ def converge_study(
                     abs_err=abs(ratio - float(targets[n])),
                 )
             )
-    decreasing: dict[int, bool] = {}
-    orders: dict[int, list[float]] = {}
-    for n in range(n_max + 1):
-        errs = [r.abs_err for r in rows if r.n == n]
-        decreasing[n] = all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
-        fits = []
-        for (N1, e1), (N2, e2) in zip(zip(Ns, errs), zip(Ns[1:], errs[1:])):
-            if e1 > 0 and e2 > 0:
-                fits.append(math.log(e1 / e2) / math.log(N2 / N1))
-        orders[n] = fits
+    decreasing, orders = _ladder_fits(
+        rows, n_max, [math.log(N2 / N1) for N1, N2 in zip(Ns, Ns[1:])])
     return ConvergenceTable(
         potential_name=V.name,
         gamma=gamma,

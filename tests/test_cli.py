@@ -178,7 +178,7 @@ class TestWriteCsv:
     @pytest.mark.parametrize("rows", [
         [(True, np.bool_(False), 3, np.int64(-7), 0.1, np.float64(1.0 / 3.0),
           math.nan, -math.inf, "a,b")],
-        # uniform columns take the per-column path
+        # columns of one type each
         [(n, n / 7.0, n % 2, f"{n}+{n}") for n in range(50)],
         # mixed types inside every column
         [(1, 2.5, "x", True), (np.int64(2), np.float64(1e-300), 'q"uote', False),
@@ -812,6 +812,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "--dump-matrix" in err and "--M" in err
             assert not (tmp_path / "m.txt").exists() and not (tmp_path / "s.csv").exists()
+
+    def test_non_finite_omega_is_config_error(self, tmp_path, capsys):
+        # a NaN or infinite frequency used to give an empty sigma table and exit 0
+        for potential, omega in (("harmonic", "nan"), ("harmonic", "inf"),
+                                 ("two_well", "nan")):
+            code = run(["sigma", "--potential", potential, "--omega", omega,
+                        "--count", "4"], tmp_path, out="s.csv")
+            assert code == cli.EXIT_CONFIG
+            assert "finite and positive" in capsys.readouterr().err
+            assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("command", [c for c in cli._COMMANDS if c != "spectrum"])
     def test_dump_matrix_off_spectrum_is_config_error(self, tmp_path, capsys,

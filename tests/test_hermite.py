@@ -17,9 +17,10 @@ from lsc.hermite import (
     psi_fourth_derivative,
     quasimode_apply,
     residual_integral,
+    tail_mass,
     weighted_eval,
 )
-from lsc.lattice import LatticeBox
+from lsc.lattice import LatticeBox, assemble_Hkappa
 
 # physicists' polynomials written out as coefficient tables (independent of
 # the recurrence under test)
@@ -153,6 +154,20 @@ class TestBoxHalfwidth:
     def test_rejects_nonpositive_kappa(self, kappa):
         with pytest.raises(ValueError, match="kappa must be positive"):
             box_halfwidth(2, kappa)
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.1, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda kappa: tail_mass(2, kappa, 10),
+        lambda kappa: gram_entry(2, 2, kappa, LatticeBox.centered(1, 30)),
+        lambda kappa: quasimode_apply(2, kappa, LatticeBox.centered(1, 30)),
+        lambda kappa: residual_integral(2, kappa, 3),
+        lambda kappa: assemble_Hkappa(kappa, LatticeBox.centered(1, 30)),
+    ], ids=["tail_mass", "gram_entry", "quasimode_apply", "residual_integral",
+            "assemble_Hkappa"])
+    def test_kappa_consumers_reject_nonpositive_kappa(self, call, kappa):
+        # a zero or NaN kappa used to loop forever in the tail sum
+        with pytest.raises(ValueError, match="kappa must be positive, got"):
+            call(kappa)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError, match="degree must be nonnegative"):

@@ -121,6 +121,12 @@ class TestLaplacian:
             )
             np.testing.assert_array_equal(op.sparse().toarray(), op.dense())
 
+    def test_rejects_nan_coupling(self):
+        box = LatticeBox.centered(1, 4)
+        with pytest.raises(ValueError, match="coupling must be nonnegative"):
+            lattice.SymmetricLatticeOperator(box=box, diagonal=np.zeros(box.size),
+                                             coupling=math.nan)
+
 
 class TestHkappa:
     def test_diagonal_values(self):

@@ -170,6 +170,17 @@ class TestWellInvariants:
                 axis_potentials=(double_well(),),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("build", [
+        lambda v: Well(location=np.zeros(2), frequencies=np.array([1.0, v])),
+        lambda v: harmonic([1.0, v]),
+        lambda v: two_well(omega=v),
+        lambda v: two_well(separation=v),
+    ], ids=["Well", "harmonic", "two_well-omega", "two_well-separation"])
+    def test_non_finite_frequency_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="finite and"):
+            build(bad)
+
     def test_well_frequency_order_enforced(self):
         with pytest.raises(ValueError):
             Well(location=np.zeros(2), frequencies=np.array([2.0, 1.0]))

@@ -234,6 +234,7 @@ class TestKappaStudy:
         for n in range(3):
             devs = study.deviations(n)
             assert all(d2 < d1 for d1, d2 in zip(devs, devs[1:]))
+        assert study.errors_decreasing == {0: True, 1: True, 2: True}
         # fitted deviation order should be at least first order
         for n, fits in study.deviation_orders.items():
             assert all(p >= 1.0 for p in fits)
