@@ -390,8 +390,8 @@ def build_interval_decomposition(n: int, kappa: float) -> IntervalDecomposition:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     from .hermite import nonnegative_zeros  # deferred: hermite builds on this module
 
     zs = nonnegative_zeros(n)
@@ -446,6 +446,8 @@ def beta_rate_bound(n: int, kappa0: float) -> float:
     taking the largest ``(beta_j - 1) / kappa0`` dominates every finer mesh
     because the envelope rate is increasing in ``kappa``.
     """
+    if not kappa0 > 0:
+        raise ValueError(f"kappa0 must be positive, got {kappa0}")
     from .hermite import nonnegative_zeros
 
     zs = nonnegative_zeros(n)

@@ -280,7 +280,11 @@ class ConvergenceTable:
 
 
 def _box_start_halfwidth(V: Potential, params: ScalingParams, count: int) -> int:
-    """Initial half-width: positivity radius, well positions, and well widths."""
+    """Initial half-width: the farthest well plus ``sqrt(2 count - 1) + 8``
+    well widths, and in ``d >= 2`` at least the positivity radius ``N R0``,
+    because only past it does :func:`_outside_floor` bound the hollow cube
+    outside the box.  In 1-d the floor below ``R0`` is sampled, so the box
+    may end short of it."""
     N = params.N
     wmin = V.frequencies_min
     width = (math.sqrt(2.0 * count - 1.0) + 8.0) * float(N) ** (
@@ -289,22 +293,32 @@ def _box_start_halfwidth(V: Potential, params: ScalingParams, count: int) -> int
     far_well = max(
         (float(np.abs(w.location).max()) for w in V.wells), default=0.0
     )
-    return int(
-        math.ceil(max(N * V.positivity_radius, N * far_well + width))
-    )
+    reach = N * far_well + width
+    return int(math.ceil(reach if V.dimension == 1 else max(N * V.positivity_radius, reach)))
 
 
 def _outside_floor(V: Potential, params: ScalingParams) -> Callable[[int], float]:
     """Lower bound of the potential part of ``H_N`` outside the half-width
     ``M`` box, in any dimension: every point there has ``|x| >= (M + 1) /
     N`` (one coordinate is past ``M``), so it is ``N^(2(1-gamma)) floor((M +
-    1) / N)`` once ``(M + 1) / N`` is past the positivity radius ``R0``, and
-    ``-inf`` before."""
-    strength = float(params.N) ** (2.0 * (1.0 - params.gamma))
+    1) / N)`` once ``(M + 1) / N`` is past the positivity radius ``R0``.
+    Before that it is ``-inf`` in ``d >= 2``; in 1-d, with ``R = floor(R0
+    N)``, it is ``N^(2(1-gamma))`` times the least of ``V(x / N)`` over the
+    lattice points ``M < |x| <= R`` and of ``floor((R + 1) / N)``, which
+    bounds every point past ``R``."""
+    N = params.N
+    strength = float(N) ** (2.0 * (1.0 - params.gamma))
+    R = math.floor(V.positivity_radius * N)
 
     def outside_floor(M: int) -> float:
-        r = (M + 1) / params.N
-        return strength * float(V.floor(r)) if r > V.positivity_radius else -math.inf
+        r = (M + 1) / N
+        if r > V.positivity_radius:
+            return strength * float(V.floor(r))
+        if V.dimension > 1:
+            return -math.inf
+        shell = np.concatenate((np.arange(-R, -M), np.arange(M + 1, R + 1))) / float(N)
+        sampled = np.asarray(V.evaluator(shell[:, None]), dtype=float).min(initial=math.inf)
+        return strength * min(float(sampled), float(V.floor((R + 1) / N)))
 
     return outside_floor
 
@@ -314,10 +328,12 @@ def levels_HN(V: Potential, params: ScalingParams, count: int) -> np.ndarray:
 
     Every solve is certified by :func:`eigensolve.converged_spectrum`: a
     Dirichlet-Neumann bracket whose floor outside the half-width ``M`` box
-    is ``N^(2(1-gamma)) floor((M + 1) / N)`` (:func:`_outside_floor`), the
-    box doubling until it certifies.  Separable sums bracket each 1-d axis
-    factor and take the tensorized route; any other potential, of any
-    dimension, is bracketed whole.  A non-separable ``d >= 2`` box costs one
+    is ``N^(2(1-gamma)) floor((M + 1) / N)`` past the positivity radius and,
+    in 1-d, the sampled potential on the shell out to it before
+    (:func:`_outside_floor`), the box starting just past the wells
+    (:func:`_box_start_halfwidth`) and doubling until it certifies.
+    Separable sums bracket each 1-d axis factor and take the tensorized
+    route; any other potential, of any dimension, is bracketed whole.  A non-separable ``d >= 2`` box costs one
     ARPACK solve for Ritz upper bounds and, when it certifies, one inertia
     count of its Neumann operator, whose Temple-Lehmann lower bounds from the
     same Ritz vectors close the bracket.  Such a box, start or doubled, is
@@ -444,11 +460,13 @@ def _quadratic_chain(
 
 
 def _fit_tail_slope(Ns: Sequence[int], Es: Sequence[float]) -> float:
-    """Least-squares slope of ``ln E`` vs ``ln N`` over the trailing points."""
+    """Least-squares slope of ``ln E`` vs ``ln N`` over the trailing points,
+    in closed form about the means: ``sum(dx dy) / sum(dx^2)``."""
     m = max(3, len(Ns) // 2)
     xs = np.log(np.asarray(Ns[-m:], dtype=float))
     ys = np.log(np.asarray(Es[-m:], dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+    xs -= xs.mean()
+    return float(xs @ (ys - ys.mean()) / (xs @ xs))
 
 
 def regime_sweep(
@@ -481,6 +499,8 @@ def regime_sweep(
     energies: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     minus_one_dev = None
     e_limit = 0.5 * omega * (2.0 * np.arange(count) + 1.0)
+    # gamma = 0 at N and gamma = -1/2 at N^2 give the same kappa, bit for bit
+    kappa_levels: dict[float, np.ndarray] = {}
 
     for gamma in gamma_grid:
         if gamma > -1.0:
@@ -488,8 +508,9 @@ def regime_sweep(
 
             def solve(N: int) -> np.ndarray:
                 kap = math.sqrt(omega * float(N) ** (-(1.0 + gamma)))
-                vals = harmonic_levels(kap, count).values
-                return 0.5 * float(N) ** 2 * vals
+                if kap not in kappa_levels:
+                    kappa_levels[kap] = harmonic_levels(kap, count).values
+                return 0.5 * float(N) ** 2 * kappa_levels[kap]
 
             table = np.array([solve(N) for N in Ns])
             pred_consts = e_limit

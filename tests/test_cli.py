@@ -1185,7 +1185,21 @@ class TestParseContract:
 # validate digests were re-recorded when the constant positivity floor became
 # a growing law: the positive_at_infinity detail, min of V - floor(|x|) on the
 # ring, went from 0.50000000000076739 to 0.5 (V - floor is 1/2 identically for
-# the double well), and the JSON gained "scan_step": 0.02
+# the double well), and the JSON gained "scan_step": 0.02.  The spectrum,
+# kappa, converge, regimes and intervals digests were re-recorded when
+# eigs_tridiag began bisecting a mirror-symmetric pair as its two parity
+# sectors, which moves each level by at most 0.5 eps ||H|| (Gershgorin norm):
+# the free spectrum's E_n by 3.8e-16 relative, the kappa E_n by up to 8.9e-14
+# relative (0.083 eps ||H||), the converge E_n by up to 5.7e-14 (0.10 eps
+# ||H||; the N = 128 tunnelling pair 127.62450349209257 and ...9301 both read
+# 127.62450349209303), the regimes limit constants by 2.4e-16 and the
+# intervals piece energy by 1 ulp (0.012735322780331128 to ...126); the
+# regimes slope_fit moved from 2 to 2.0000000000000004 when the tail slope
+# became the closed-form centred least-squares slope.  The converge start
+# boxes also end at the wells now (2,491 rows at N = 1024, not 4,097).  The
+# JSON digests moved with the values: the fitted orders of kappa and converge
+# by up to 1.6e-9 relative (their errors are differences of nearby numbers)
+# and the regimes worst_slope_error from 0 to 4.4e-16
 README_GOLDEN = {
     "sigma": (
         "sigma --potential harmonic --omega 1 --count 4",
@@ -1194,23 +1208,23 @@ README_GOLDEN = {
     ),
     "spectrum": (
         "spectrum --potential free --M 1 --k 3",
-        "119a5f73c25a744e6313a2baaf9308d6b26764c7bb47d7615d1ba0dc2523c9ae",
+        "87fe48b1cda4d343c43075c1039fd16414283cb62114cf503069193d53a8f135",
         "56a200715e1050a915aff10bde5379f727c650ee4bf0128962c8d3befff315a8",
     ),
     "kappa": (
         "kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5",
-        "167e3b21b657f49aeaf0977fe5112212737216aaf48b1c6dcbae1e4b7a2e4cb7",
-        "e592029537bbe1548eafde0cad4e839eba2e7cdc6024e71babb17137ebace213",
+        "c5d49135b06510a5a6d9f06d92a18302696eb42d58991ace04bf2248497bf545",
+        "264866a203f4c395267b173e50b9d42b4c3eeef431d4e3508aa21ea520a23b96",
     ),
     "converge": (
         "converge --potential double_well --gamma 0 --N 128,256,512,1024 --nmax 1",
-        "446e59b28dd17d71d49024bc05951390b786ebae73d97f42c13c08f773eff8b5",
-        "380b1a4ab8a6cf374393a2ed5bb17b8e8ee62101c91f8cbd5d30d9fc541b882e",
+        "6f6c327f9eee01d3e53924f9421b6ef94ba1e22f5d71f14b6c4343a8efb5a3fa",
+        "bd4dfd7f46059a4cfed97a6f4362b90f97363dfcbaa6c5fd707182f791e79676",
     ),
     "regimes": (
         "regimes --gamma=-1 --N 2,4,8 --nmax 2",
-        "44abd6002c53a5a51b78777bf168e9df64e37e8537e371f760d4327d2a5506d9",
-        "feb2c1eaafbc53d0802984ed13b07807319a3258363ba25af753c4705195dc74",
+        "5bbf83ec75705ce8a32e65ff62e049f8fa0151b99db73f4f43dd8424139dbfd6",
+        "4d7e5a5b210e4451914ee4d735b660ff8e471bfce5f261fe872f3cb10b2a9f44",
     ),
     "quasimode": (
         "quasimode --kappa 0.2,0.1 --nmax 3",
@@ -1219,8 +1233,8 @@ README_GOLDEN = {
     ),
     "intervals": (
         "intervals --nmax 2 --kappa 0.05 --delta-spike 0.25 --epsilon 0.1",
-        "24d33cef2a8242f75cfd0eefa7a5de45d51a3b94af125a6b623bcf82f691793b",
-        "11050f4c0b07031978c77514af09d9851cdd94b40af3707604209e753de3d56a",
+        "3759d5e943cc7c61b15545c9a95ce87ddd2a7d87ea638fffbf299dd38bb1d1ff",
+        "7b7999655dac3f97c0ff74b52fd0a3447191140bee9220e5bc4a8ab6cf10ffa9",
     ),
     "ims": (
         "ims --potential double_well --N 256 --gamma 0 --delta-cut 0.2",
@@ -1244,12 +1258,15 @@ README_GOLDEN = {
 # double_well_2d CSV digest was re-recorded when the shift-invert solve began
 # factoring H - sigma with the MMD_AT_PLUS_A ordering: E_1 moved from
 # 192.53293743466349 to 192.53293743466361 (6.2e-16 relative), now equal to
-# E_2, its partner under the x <-> y reflection
+# E_2, its partner under the x <-> y reflection.  The double_well CSV digest was
+# re-recorded when eigs_tridiag began bisecting a mirror-symmetric pair as its
+# two parity sectors: E_0, E_1 and E_5 moved by at most 3.4e-16 relative
+# (0.016 eps ||H||), e.g. E_0 from 15.620503839432551 to 15.620503839432546
 DUMP_GOLDEN = {
     "double_well": (
         "spectrum --potential double_well --M 40",
         "e83d2b6213218dde0c5942619863f8c32a64cd5fcc9f9d41dbb19a2f5b198214",
-        "8c9d2806c0119ba835e1eedd3665a6215e3fd23e2605eedf0eb8d1c5570d5ae5",
+        "182d4dd36a85174cc6b70abf002b1189ba29242cab82d4caf3c096f3b5c02991",
         "80a766841df7330f059fecc97a28dabe5821cfff84bc4ce851e195dfc5ed9df8",
     ),
     "double_well_2d": (

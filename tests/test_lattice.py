@@ -261,6 +261,15 @@ class TestDecomposition:
         with pytest.raises(DegenerateDecomposition):
             build_interval_decomposition(2, 1.0)
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.nan])
+    def test_nonpositive_kappa_rejected(self, kappa):
+        # a NaN kappa used to fail late ("cannot convert float NaN to
+        # integer") in the decomposition and to give a rate bound of 0.0
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            build_interval_decomposition(2, kappa)
+        with pytest.raises(ValueError, match="kappa0 must be positive"):
+            beta_rate_bound(2, kappa)
+
     def test_quasimode_vanishes_at_anchors(self):
         dec = build_interval_decomposition(4, 0.1)
         for j in range(dec.k):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsc import cli, eigensolve, hermite, lattice, semiclassics
+from lsc import cli, eigensolve, hermite, lattice, potentials, semiclassics
 from lsc.errors import DegenerateDecomposition
 from lsc.lattice import LatticeBox
 from lsc.potentials import (
@@ -366,6 +366,32 @@ class TestRegimeSweep:
         with pytest.raises(ValueError):
             regime_sweep(1.0, [0.0], [8, 16], 1)
 
+    def test_each_distinct_kappa_is_solved_once(self, monkeypatch):
+        # gamma = 0 at N and gamma = -1/2 at N^2 give the same kappa, bit for
+        # bit: 13 distinct kappas among the 16 points of the two ladders
+        Ns, omega = [8, 16, 32, 64, 128, 256, 512, 1024], 1.1
+        kappas = {math.sqrt(omega * float(N) ** (-(1.0 + g))) for g in (-0.5, 0.0) for N in Ns}
+        assert len(kappas) == 13
+        solved = []
+        levels = semiclassics.harmonic_levels
+        monkeypatch.setattr(semiclassics, "harmonic_levels",
+                            lambda kap, count: solved.append(kap) or levels(kap, count))
+        sweep = regime_sweep(omega, [-0.5, 0.0], Ns, 2)
+        assert sorted(solved) == sorted(kappas)
+        for gamma in (-0.5, 0.0):
+            for N, row in zip(Ns, sweep.energies[gamma][1]):
+                kap = math.sqrt(omega * float(N) ** (-(1.0 + gamma)))
+                assert np.array_equal(row, 0.5 * float(N) ** 2 * levels(kap, 3).values)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tail_slope_is_the_least_squares_slope(self, seed):
+        rng = np.random.default_rng(seed)
+        Ns = [8 * 2**j for j in range(int(rng.integers(3, 9)))]
+        Es = np.asarray(Ns, dtype=float) ** rng.uniform(0.5, 4.0) * rng.uniform(0.5, 2.0, len(Ns))
+        m = max(3, len(Ns) // 2)
+        want = np.polyfit(np.log(np.asarray(Ns[-m:], float)), np.log(Es[-m:]), 1)[0]
+        assert semiclassics._fit_tail_slope(Ns, Es) == pytest.approx(want, rel=1e-14)
+
 
 class TestIntervalExperiment:
     def test_degree_two_structure(self):
@@ -620,6 +646,110 @@ class TestTruncationBracket:
         assert len(results) == len(solves) == 3
         assert all(res.truncation_width is not None for res in results)
 
+    @pytest.fixture
+    def dipped_well(self, monkeypatch):
+        """A registered 1-d double well with a dip on each side: at ``x =
+        1.8``, between the well and ``R0 = 3``, where no law bounds it, ``V``
+        falls from about 2.5 to 0.25; at ``x = -3.2``, just past ``R0``, it
+        falls to 27.7, below its values on ``2.95 <= |x| <= 3``, and the law
+        ``0.3 (r^2 - 1)^2`` still bounds it.  ``edge_dipped_well`` is the
+        same but a tenth of it, 3.2, at ``x = R0`` exactly, the last point
+        the sample covers and below the law just past it."""
+        def factory(edge=False):
+            def evaluator(pts):
+                x = pts[:, 0]
+                v = 0.5 * (x * x - 1.0) ** 2 * (1.0 - 0.9 * np.exp(-20.0 * (x - 1.8) ** 2)
+                                                - 0.35 * np.exp(-20.0 * (x + 3.2) ** 2))
+                return np.where(x == 3.0, 0.1 * v, v) if edge else v
+
+            return Potential(
+                dimension=1, evaluator=evaluator,
+                wells=(Well(location=[-1.0], frequencies=[2.0]),
+                       Well(location=[1.0], frequencies=[2.0])),
+                positivity_radius=3.0,
+                floor=lambda r: 0.3 * (r * r - 1.0) ** 2,
+                name="edge_dipped_well" if edge else "dipped_well")
+
+        monkeypatch.setattr(potentials, "_REGISTRY", dict(potentials._REGISTRY))
+        potentials.register_potential("dipped_well", factory)
+        potentials.register_potential("edge_dipped_well", lambda: factory(edge=True))
+        return builtin_potential("dipped_well")
+
+    @pytest.mark.parametrize("name", ["double_well", "two_well", "harmonic", "dipped_well",
+                                      "edge_dipped_well"])
+    @pytest.mark.parametrize("N, gamma", [(16, 0.0), (64, -0.5), (64, 0.5), (256, 0.0)])
+    def test_sampled_floor_bounds_the_shell(self, dipped_well, name, N, gamma):
+        # in 1-d the start box ends short of the positivity radius, and the
+        # floor before it is the sampled potential on the shell out to R0 N
+        # plus the law past it; it must never exceed the least potential part
+        # W = diagonal - 2 coupling over M < |x| <= 4 R0 N, brute-forced on the
+        # assembled operator (up to the rounding of its N^2 + lam^2 V entries)
+        V = builtin_potential(name)
+        params = ScalingParams(N=N, gamma=gamma, omega=1.0)
+        R = int(4 * V.positivity_radius * N)
+        op = lattice.assemble_HN(V, params, LatticeBox.centered(1, R))
+        W = op.diagonal - 2.0 * op.coupling
+        slack = np.finfo(float).eps * np.abs(op.diagonal).max()
+        floor = semiclassics._outside_floor(V, params)
+        start = semiclassics._box_start_halfwidth(V, params, 2)
+        edge = math.floor(V.positivity_radius * N)
+        x = np.abs(np.arange(-R, R + 1))
+        for M in sorted({*range(edge // 4, edge + 3), *(start * 2**j for j in range(4))}):
+            if M < R:
+                assert floor(M) <= W[x > M].min() + slack, M
+
+    def test_dipped_well_certifies_on_its_start_box(self, dipped_well):
+        # the dip at x = 1.8 lies outside the N = 256 start box (|x| <= 1.43)
+        # and inside R0 N; the sampled floor sees it and still certifies, and
+        # the levels agree with a box reaching past R0
+        params = ScalingParams(N=256, gamma=0.0, omega=2.0)
+        M0 = semiclassics._box_start_halfwidth(dipped_well, params, 2)
+        assert (M0 + 1) / 256 < 1.5
+        assert semiclassics._outside_floor(dipped_well, params)(M0) < 0.3 * 256**2
+        got = semiclassics.levels_HN(dipped_well, params, 2)
+        wide = eigensolve.eigs_tridiag(
+            lattice.assemble_HN(dipped_well, params, LatticeBox.centered(1, 4 * 3 * 256)), 2)
+        np.testing.assert_allclose(got, wide.values, rtol=1e-12)
+
+    def test_double_well_N1024_certifies_on_one_short_box(self, monkeypatch):
+        # the start box ends (sqrt(3) + 8) well widths past the wells, at M =
+        # 1245 (2,491 rows), where it used to start at R0 N = 2048 (4,097)
+        sizes = []
+        assemble = lattice.assemble_HN
+        monkeypatch.setattr(lattice, "assemble_HN",
+                            lambda V, p, box: sizes.append(box.size) or assemble(V, p, box))
+        assert cli.main("converge --potential double_well --gamma 0 --N 1024 --nmax 1 "
+                        "--out /dev/null".split()) == cli.EXIT_OK
+        assert sizes == [2491]
+
+    def test_skipped_floor_count_holds_on_every_ladder_box(self, tmp_path, monkeypatch):
+        # the benchmark's ladder runs: on every 1-d box where cur_k + tol_k
+        # lies below the floor, so that the count just below the floor is not
+        # taken, that count would have passed
+        bracket, boxes = eigensolve._bracket_tridiag, []
+
+        def checked(op, k, floor):
+            cur = eigensolve.eigs_tridiag(op, k).values
+            if cur[-1] + eigensolve.BOX_DOUBLING_RTOL * (1.0 + abs(cur[-1])) < floor:
+                neu = op.diagonal - op.coupling * op.dropped_neighbor_count()
+                assert eigensolve._stebz(neu, op.tridiagonal()[1],
+                                         upper=np.nextafter(floor, -np.inf)) >= k
+                boxes.append(op.size)
+            return bracket(op, k, floor)
+
+        monkeypatch.setattr(eigensolve, "_bracket_tridiag", checked)
+        monkeypatch.chdir(tmp_path)
+        for argv, code in (
+                ("kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5", cli.EXIT_OK),
+                ("converge --potential double_well --gamma 0 --N 128,256,512,1024 --nmax 1",
+                 cli.EXIT_OK),
+                ("regimes --gamma=-1 --N 2,4,8 --nmax 2", cli.EXIT_OK),
+                ("regimes --gamma=-2.0,-1.5,-1.0,-0.5,0.0 --N 8,16,32,64,128,256,512,1024 "
+                 "--nmax 2 --omega 1.1", cli.EXIT_OK),
+                ("spectrum --potential double_well_2d --N 32 --k 6", cli.EXIT_OK)):
+            assert cli.main(argv.split() + ["--out", "ladder.csv"]) == code
+        assert len(boxes) == 44
+
     def test_one_solve_per_converged_spectrum_call(self, tmp_path, monkeypatch):
         results, solves = [], {"eigs_tridiag": 0, "_ritz_pairs": 0}
         converged = eigensolve.converged_spectrum
@@ -644,8 +774,9 @@ class TestTruncationBracket:
         monkeypatch.chdir(tmp_path)
         assert cli.main("kappa --kappa 0.2,0.1,0.05,0.025 --nmax 5".split()) == cli.EXIT_OK
         assert len(results) == 4 and solves == {"eigs_tridiag": 4, "_ritz_pairs": 0}
-        # one index solve (RANGE='I') per box; the Neumann side is 6 + 1 counts
-        assert (ranges.count(2), ranges.count(1)) == (4, 4 * 7)
+        # one index solve (RANGE='I') per box; the Neumann side is 6 counts,
+        # for every floor lies above cur_k + tol_k, which skips the floor count
+        assert (ranges.count(2), ranges.count(1)) == (4, 4 * 6)
         # a non-separable 2-d potential: one ARPACK solve and one inertia count
         # per level set, each certified on its start box
         V = two_well(omega=1.0, separation=2.0, d=2)
